@@ -37,8 +37,9 @@ int main(int argc, char** argv) {
   std::printf("%-8s %10s %12s %12s %12s %12s\n", "tau(s)", "contacts", "CT med",
               "ICT med", "FT med", "CT p10");
   for (std::size_t i = 0; i < taus.size(); ++i) {
-    const Trace trace = recorders[i]->take_trace();
-    const ContactAnalysis c = analyze_contacts(trace, kBluetoothRange);
+    const ExperimentResults res =
+        analyze_trace(recorders[i]->take_trace(), {kBluetoothRange}, kDefaultLandSize);
+    const ContactAnalysis& c = res.contacts.at(kBluetoothRange);
     std::printf("%-8.0f %10zu %12.0f %12.0f %12.0f %12.0f\n", taus[i],
                 c.intervals.size(),
                 c.contact_times.empty() ? 0.0 : c.contact_times.median(),

@@ -10,9 +10,8 @@
 //  * asserts exact pair-set identity (same pairs, same distances, bitwise)
 //    between legacy and kernel on every snapshot, with and without coverage
 //    gaps (fault scenario "blackouts" supplies the gapped trace);
-//  * asserts ProximityCache output is identical at 1/2/4 analysis threads
-//    and that IncrementalProximity converges to the same per-snapshot pair
-//    sets;
+//  * asserts IncrementalProximity (delta updates across snapshots) emits
+//    the same per-snapshot pair sets as a fresh kernel pass;
 //  * asserts the warm kernel path performs zero heap allocations (second
 //    full-trace pass, counted by the operator-new override compiled into
 //    this binary only).
@@ -39,9 +38,7 @@
 #include "alloc_counter.hpp"
 #include "analysis/incremental_proximity.hpp"
 #include "analysis/pair_kernel.hpp"
-#include "analysis/proximity_cache.hpp"
 #include "bench_common.hpp"
-#include "util/thread_pool.hpp"
 
 using namespace slmob;
 using namespace slmob::bench;
@@ -192,29 +189,27 @@ SweepTiming time_sweep(const std::vector<std::vector<Vec3>>& snaps, double r,
   return t;
 }
 
-// ProximityCache at 1/2/4 threads must emit byte-identical pair lists, and
-// IncrementalProximity must converge to the same per-snapshot pair sets.
-bool modes_and_threads_agree(const Trace& trace, const std::vector<double>& ranges) {
-  ThreadPool pool1(1);
-  const ProximityCache reference(trace, ranges, &pool1);
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
-    ThreadPool pool(threads);
-    const ProximityCache cache(trace, ranges, &pool);
-    for (std::size_t s = 0; s < trace.size(); ++s) {
-      for (const double r : ranges) {
-        if (cache.pairs(s, r) != reference.pairs(s, r)) return false;
-      }
-    }
-  }
+// IncrementalProximity must converge to the pair sets a fresh kernel pass
+// classifies for every snapshot, at every radius.
+bool incremental_matches_rebuild(const Trace& trace, const std::vector<double>& ranges) {
   IncrementalProximity inc(ranges);
-  for (std::size_t s = 0; s < trace.size(); ++s) {
-    inc.advance(trace.snapshots()[s]);
+  PairKernel kernel;
+  std::vector<PairKernel::PairList> fresh(ranges.size());
+  std::vector<Vec3> pos;
+  for (const auto& snap : trace.snapshots()) {
+    inc.advance(snap);
+    pos.clear();
+    for (const auto& fix : snap.fixes) pos.push_back(fix.pos);
+    for (auto& l : fresh) l.clear();
+    if (!pos.empty()) {
+      kernel.run(pos, ranges.back());
+      kernel.classify(ranges, fresh.data());
+    }
     for (std::size_t ri = 0; ri < ranges.size(); ++ri) {
       auto a = inc.pairs(ri);
-      auto b = reference.pairs(s, ranges[ri]);
       std::sort(a.begin(), a.end());
-      std::sort(b.begin(), b.end());
-      if (a != b) return false;
+      std::sort(fresh[ri].begin(), fresh[ri].end());
+      if (a != fresh[ri]) return false;
     }
   }
   return true;
@@ -272,7 +267,7 @@ int main(int argc, char** argv) {
   };
   std::vector<LandRow> rows;
   bool bitwise_identical = true;
-  bool threads_modes_ok = true;
+  bool incremental_ok = true;
   bool gapped_ok = true;
   double legacy_total = 0.0;
   double kernel_total = 0.0;
@@ -293,7 +288,7 @@ int main(int argc, char** argv) {
                 t.kernel_seconds,
                 t.kernel_seconds > 0.0 ? t.legacy_seconds / t.kernel_seconds : 0.0);
 
-    if (!modes_and_threads_agree(base.trace, ranges)) threads_modes_ok = false;
+    if (!incremental_matches_rebuild(base.trace, ranges)) incremental_ok = false;
 
     ExperimentConfig cfg;
     cfg.archetype = land;
@@ -305,7 +300,7 @@ int main(int argc, char** argv) {
     const auto gap_snaps = snapshot_positions(gapped.trace);
     bool gap_identical = true;
     (void)time_sweep(gap_snaps, kWifiRange, 1, &gap_identical);
-    if (!gap_identical || !modes_and_threads_agree(gapped.trace, ranges)) {
+    if (!gap_identical || !incremental_matches_rebuild(gapped.trace, ranges)) {
       gapped_ok = false;
     }
     std::printf("%-14s gapped trace: %zu snaps, %zu gaps, identity %s\n",
@@ -328,8 +323,8 @@ int main(int argc, char** argv) {
   if (!bitwise_identical) {
     std::fprintf(stderr, "ERROR: kernel pairs/distances differ from legacy grid\n");
   }
-  if (!threads_modes_ok) {
-    std::fprintf(stderr, "ERROR: pair lists differ across thread counts or modes\n");
+  if (!incremental_ok) {
+    std::fprintf(stderr, "ERROR: incremental pair lists differ from a fresh kernel pass\n");
   }
   if (!gapped_ok) std::fprintf(stderr, "ERROR: identity failed on gapped traces\n");
   if (!speedup_ok) std::fprintf(stderr, "ERROR: speedup %.2fx below 1.5x gate\n", speedup);
@@ -362,8 +357,8 @@ int main(int argc, char** argv) {
   appendf(body, "    \"kernel_pairs_per_second\": %.1f,\n", kernel_pairs_per_s);
   appendf(body, "    \"bitwise_identical_to_legacy\": %s,\n",
           bitwise_identical ? "true" : "false");
-  appendf(body, "    \"identical_across_threads_and_modes\": %s,\n",
-          threads_modes_ok ? "true" : "false");
+  appendf(body, "    \"incremental_matches_rebuild\": %s,\n",
+          incremental_ok ? "true" : "false");
   appendf(body, "    \"identical_on_gapped_traces\": %s,\n", gapped_ok ? "true" : "false");
   appendf(body, "    \"warm_path_allocations\": %zu,\n", warm_allocs);
   appendf(body, "    \"speedup_gate_1_5x\": %s\n", speedup_ok ? "true" : "false");
@@ -371,7 +366,7 @@ int main(int argc, char** argv) {
   update_bench_json(out_path, "pair_kernel", body);
   std::printf("wrote %s\n", out_path.c_str());
 
-  const bool ok = bitwise_identical && threads_modes_ok && gapped_ok && speedup_ok &&
+  const bool ok = bitwise_identical && incremental_ok && gapped_ok && speedup_ok &&
                   allocs_ok && floor_ok;
   return ok ? 0 : 1;
 }

@@ -4,11 +4,11 @@
 // perf trajectory is tracked across PRs.
 //
 // Two baselines are timed alongside the thread sweep:
-//  * "legacy": the pre-cache pipeline shape — every analysis rebuilds its
-//    own per-snapshot proximity structure, strictly sequentially (what the
-//    seed revision of this repo did);
-//  * threads=1: the shared-ProximityCache pipeline on a single thread,
-//    isolating the algorithmic win from the parallel win.
+//  * "legacy": the seed revision's pipeline shape — every analysis rebuilds
+//    its own per-snapshot proximity structure, strictly sequentially;
+//  * threads=1: the streaming analysis engine (one incremental proximity
+//    state shared by every consumer) on a single thread, isolating the
+//    algorithmic win from the parallel win.
 //
 // The sweep asserts that every thread count reproduces the single-thread
 // results exactly (same ECDF samples, same interval lists) before timing is
@@ -40,8 +40,8 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 }
 
 // Faithful replica of the seed-revision analysis pipeline, so the speedup
-// numbers compare against what this repo actually shipped before the shared
-// ProximityCache: a fresh hash-map grid per snapshot per analysis per range,
+// numbers compare against what this repo actually shipped before proximity
+// was shared: a fresh hash-map grid per snapshot per analysis per range,
 // unsorted adjacency lists with linear-scan clustering, a re-allocated BFS
 // per eccentricity, and std::map bookkeeping in the contact tracker. Kept
 // local to the bench so the library itself stays on the fast path.
@@ -307,6 +307,56 @@ GraphMetrics analyze_graphs(const Trace& trace, double range) {
   return out;
 }
 
+// Zone occupation on 20 m cells, every snapshot weighted 1 (the seed
+// revision had neither coverage gaps nor rate correction).
+ZoneAnalysis analyze_zones(const Trace& trace) {
+  constexpr double kLand = kDefaultLandSize;
+  ZoneAnalysis out;
+  const auto side = static_cast<std::size_t>(std::ceil(kLand / out.cell_size));
+  out.cells_per_side = side;
+  out.mean_per_cell.assign(side * side, 0.0);
+  std::vector<std::uint32_t> counts(side * side);
+  std::size_t empty = 0;
+  for (const auto& snap : trace.snapshots()) {
+    std::fill(counts.begin(), counts.end(), 0);
+    for (const auto& fix : snap.fixes) {
+      const auto cell = [&](double v) {
+        return std::min(static_cast<std::size_t>(std::clamp(v, 0.0, kLand - 1e-9) /
+                                                 out.cell_size),
+                        side - 1);
+      };
+      ++counts[cell(fix.pos.y) * side + cell(fix.pos.x)];
+    }
+    for (std::size_t c = 0; c < counts.size(); ++c) {
+      out.occupancy.add(static_cast<double>(counts[c]));
+      out.mean_per_cell[c] += static_cast<double>(counts[c]);
+      out.max_occupancy = std::max<std::size_t>(out.max_occupancy, counts[c]);
+      if (counts[c] == 0) ++empty;
+    }
+  }
+  if (!out.occupancy.empty()) {
+    out.empty_fraction =
+        static_cast<double>(empty) / static_cast<double>(out.occupancy.size());
+    for (auto& m : out.mean_per_cell) m /= static_cast<double>(trace.size());
+  }
+  return out;
+}
+
+// Per-session trip metrics over the whole trace's extracted sessions.
+TripAnalysis analyze_trips(const Trace& trace) {
+  const SessionExtractionOptions options;
+  TripAnalysis out;
+  const auto sessions = extract_sessions(trace, options);
+  out.sessions = sessions.size();
+  for (const auto& session : sessions) {
+    const TripMetrics m = trip_metrics(session, options.movement_epsilon);
+    out.travel_lengths.add(m.travel_length);
+    out.effective_travel_times.add(m.effective_travel_time);
+    out.travel_times.add(m.travel_time);
+  }
+  return out;
+}
+
 }  // namespace seed
 
 // The seed pipeline: per-range contact and graph analyses each building
@@ -318,8 +368,8 @@ ExperimentResults legacy_analyze(const Trace& trace, const std::vector<double>& 
     results.contacts.emplace(r, seed::analyze_contacts(trace, r));
     results.graphs.emplace(r, seed::analyze_graphs(trace, r));
   }
-  results.zones = analyze_zones(trace);
-  results.trips = analyze_trips(trace);
+  results.zones = seed::analyze_zones(trace);
+  results.trips = seed::analyze_trips(trace);
   return results;
 }
 
@@ -362,8 +412,8 @@ bool same_results(const ExperimentResults& a, const ExperimentResults& b) {
          same_ecdf(a.trips.travel_lengths, b.trips.travel_lengths);
 }
 
-// Distribution-level equality against the seed pipeline: the cache pipeline
-// tie-breaks equal-start intervals differently, so compare interval multisets
+// Distribution-level equality against the seed pipeline: the streaming
+// pipeline tie-breaks equal-start intervals differently, so compare interval multisets
 // and sorted ECDF samples instead of raw sequences.
 bool same_distributions(const ExperimentResults& a, const ExperimentResults& b) {
   const auto interval_key = [](const ContactInterval& x) {
@@ -474,7 +524,7 @@ int main(int argc, char** argv) {
   }
   const bool matches_seed = same_distributions(reference, legacy);
   if (!matches_seed) {
-    std::fprintf(stderr, "ERROR: cache pipeline distributions differ from seed pipeline\n");
+    std::fprintf(stderr, "ERROR: analysis pipeline distributions differ from seed pipeline\n");
   }
 
   std::string body;

@@ -6,6 +6,7 @@
 #include "alloc_counter.hpp"
 #include "analysis/contacts.hpp"
 #include "analysis/graphs.hpp"
+#include "analysis/incremental_proximity.hpp"
 #include "analysis/pair_kernel.hpp"
 #include "analysis/spatial_index.hpp"
 #include "client/metaverse_client.hpp"
@@ -68,7 +69,7 @@ void BM_SpatialGridPairs(benchmark::State& state) {
 BENCHMARK(BM_SpatialGridPairs)->Arg(50)->Arg(100)->Arg(400);
 
 // The batched kernel on the same snapshots, reusing one kernel across
-// iterations (the ProximityCache warm path). items = pairs found;
+// iterations (the IncrementalProximity rebuild warm path). items = pairs found;
 // allocs_per_run must sit at zero once the scratch is warm.
 void BM_PairKernelPairs(benchmark::State& state) {
   Rng rng(1);
@@ -91,7 +92,7 @@ void BM_PairKernelPairs(benchmark::State& state) {
 BENCHMARK(BM_PairKernelPairs)->Arg(50)->Arg(100)->Arg(400);
 
 // One enumeration at the WiFi range plus single-pass classification into
-// the Bluetooth and WiFi lists — the exact ProximityCache build step.
+// the Bluetooth and WiFi lists — the exact IncrementalProximity rebuild step.
 void BM_PairKernelClassify(benchmark::State& state) {
   Rng rng(1);
   const Snapshot snap = random_snapshot(static_cast<std::size_t>(state.range(0)), rng);
@@ -126,8 +127,20 @@ void BM_ContactExtraction(benchmark::State& state) {
       trace.add(std::move(snap));
     }
   }
+  // Proximity is computed once up front: the loop times contact extraction.
+  IncrementalProximity prox({10.0});
+  std::vector<IncrementalProximity::PairList> pairs;
+  for (const auto& snap : trace.snapshots()) {
+    prox.advance(snap);
+    pairs.push_back(prox.pairs(0));
+  }
+  const GapTracker no_gaps;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analyze_contacts(trace, 10.0));
+    ContactStream contacts(10.0, trace.sampling_interval(), no_gaps);
+    for (std::size_t s = 0; s < trace.size(); ++s) {
+      contacts.on_snapshot(trace.snapshots()[s], pairs[s]);
+    }
+    benchmark::DoNotOptimize(contacts.finish());
   }
 }
 BENCHMARK(BM_ContactExtraction);
@@ -135,10 +148,19 @@ BENCHMARK(BM_ContactExtraction);
 void BM_GraphMetricsPerSnapshot(benchmark::State& state) {
   Rng rng(2);
   const Snapshot snap = random_snapshot(static_cast<std::size_t>(state.range(0)), rng);
+  std::vector<Vec3> positions;
+  for (const auto& f : snap.fixes) positions.push_back(f.pos);
+  const auto pairs = SpatialGrid(positions, 20.0).pairs_within();
+  GraphStream graphs(20.0);
+  std::size_t fed = 0;
   for (auto _ : state) {
-    const LosGraph graph(snap, 20.0);
-    benchmark::DoNotOptimize(graph.largest_component_diameter());
-    benchmark::DoNotOptimize(graph.mean_clustering());
+    graphs.on_snapshot(snap.fixes.size(), pairs);
+    // Hand the accumulated samples to a throwaway stream now and then so
+    // memory stays flat; `graphs` keeps its warm scratch.
+    if (++fed % 1024 == 0) {
+      GraphStream spent(20.0);
+      spent.append(graphs);
+    }
   }
 }
 BENCHMARK(BM_GraphMetricsPerSnapshot)->Arg(50)->Arg(100);

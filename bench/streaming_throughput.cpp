@@ -1,25 +1,30 @@
-// Streaming-vs-batch analysis bench: throughput (snapshots/s) and peak RSS
-// of the single-pass StreamingAnalyzer against the batch analyze_trace
-// pipeline on the same Isle-of-View trace, written to BENCH_analysis.json
-// under the "streaming_throughput" section.
+// Analysis throughput bench: throughput (snapshots/s) and peak RSS of the
+// streaming analysis engine (StreamingAnalyzer, the pipeline behind
+// analyze_trace and `slmob analyze`) on an Isle-of-View trace at 1, 2, 3 and
+// 4 analysis threads, written to BENCH_analysis.json under the
+// "streaming_throughput" section.
 //
 // Peak RSS (VmHWM) is a process-lifetime high-water mark and fork inherits
 // the parent's resident pages, so every heavyweight step gets its own forked
 // child: one child generates and saves the trace (keeping the full
 // ExperimentResults out of the parent — a parent that held the 24 h trace
 // would inflate every later child's measured peak), then each pipeline child
-// loads/streams it cold and reports digest/seconds/rss through a small k=v
-// file. Each configuration is run three times (fastest run scores
-// throughput, largest scores RSS, digests must agree). On non-unix builds
-// everything runs in-process and the RSS comparison is skipped.
+// streams it cold and reports digest/seconds/rss through a small k=v file.
+// Each configuration is run three times (fastest run scores throughput,
+// largest scores RSS, digests must agree). On non-unix builds everything
+// runs in-process and the RSS ceiling is skipped.
 //
 // Gates (exit 1 on failure):
-//  * every pipeline — batch and streaming at 1/2/4 threads — must produce
-//    the same analysis fingerprint (bit-identical reports);
-//  * streaming single-thread throughput must be >= batch single-thread;
-//  * at >= 24 h (the paper's trace length) streaming peak RSS must be
-//    <= 25% of batch. Short smoke runs skip this gate: at 2 h the ~6 MiB
-//    process baseline dominates both sides and the ratio is meaningless.
+//  * every thread count must produce the same analysis fingerprint, and for
+//    the pinned configurations (seed 42 at 2, 4 and 24 h) it must equal the
+//    fingerprint pinned from the original batch pipeline;
+//  * for the pinned configurations, 1-thread throughput must reach the
+//    committed snapshots/s floor and 1-thread peak RSS must stay under the
+//    committed ceiling. Both were set from measurements of the previous
+//    (two-engine) pipeline on a 4-vCPU x86-64 host (hardware_concurrency 4,
+//    g++ 12, Release): the floor at about a quarter of its streaming
+//    throughput, so a slow shared runner passes while an order-of-magnitude
+//    regression fails, and the ceiling at 1.5x its streaming peak RSS.
 //
 //   streaming_throughput [--hours H] [--seed S] [--quick] [--out FILE]
 #include <algorithm>
@@ -38,7 +43,6 @@
 #include "analysis/analysis_report.hpp"
 #include "analysis/streaming.hpp"
 #include "bench_common.hpp"
-#include "core/experiment.hpp"
 #include "trace/serialize.hpp"
 #include "util/sysinfo.hpp"
 #include "util/thread_pool.hpp"
@@ -64,43 +68,54 @@ struct PipelineResult {
   bool ok{false};
 };
 
-// One pipeline, run to completion in this process. threads == 0 means the
-// batch pipeline (single analysis thread); > 0 means streaming at that
-// thread count. The saved trace already has sitting fixes stripped
-// (run_experiment strips before analysis), so streaming keeps its own strip
-// option off and both pipelines see identical input.
+// One pipeline at `threads` analysis threads, run to completion in this
+// process. The saved trace already has sitting fixes stripped
+// (run_experiment strips before analysis), so the strip option stays off.
 //
 // seconds and rss_mib are sampled the moment the pipeline returns its
 // report: the fingerprint computed afterwards serialises every sample into
 // one buffer (tens of MiB on a 24 h trace), which is equality-check
-// machinery, not pipeline cost, and would otherwise dominate the streaming
-// side's high-water mark.
+// machinery, not pipeline cost, and would otherwise dominate the
+// high-water mark.
 PipelineResult run_pipeline(const std::string& trace_path, std::size_t threads) {
   PipelineResult out;
   const auto t0 = std::chrono::steady_clock::now();
-  if (threads == 0) {
-    Trace trace = load_trace(trace_path);
-    out.snapshots = trace.size();
-    const ExperimentResults res = analyze_trace(
-        std::move(trace), {kBluetoothRange, kWifiRange}, kDefaultLandSize,
-        /*threads=*/1);
-    out.seconds = seconds_since(t0);
-    out.rss_mib = peak_rss_mib();
-    out.digest = analysis_fingerprint(to_analysis_report(res));
-  } else {
-    StreamingOptions options;
-    options.threads = threads;
-    StreamingProgress progress;
-    const AnalysisReport report = analyze_stream_file(trace_path, options, &progress);
-    out.snapshots = progress.snapshots;
-    out.proximity_rebuilds = progress.proximity_rebuilds;
-    out.proximity_delta_updates = progress.proximity_delta_updates;
-    out.seconds = seconds_since(t0);
-    out.rss_mib = peak_rss_mib();
-    out.digest = analysis_fingerprint(report);
-  }
+  StreamingOptions options;
+  options.threads = threads;
+  StreamingProgress progress;
+  const AnalysisReport report = analyze_stream_file(trace_path, options, &progress);
+  out.snapshots = progress.snapshots;
+  out.proximity_rebuilds = progress.proximity_rebuilds;
+  out.proximity_delta_updates = progress.proximity_delta_updates;
+  out.seconds = seconds_since(t0);
+  out.rss_mib = peak_rss_mib();
+  out.digest = analysis_fingerprint(report);
   out.ok = true;
   return out;
+}
+
+// Committed expectations for the configurations the CI smoke (2 h), the
+// --quick run (4 h) and the paper-length run (24 h) use, all at seed 42.
+struct Pinned {
+  double hours;
+  std::uint32_t fingerprint;        // from the original batch analyze_trace
+  double snapshots_per_second_floor;  // 1 thread
+  double peak_rss_ceiling_mib;        // 1 thread
+};
+// Previous-pipeline streaming at 1 thread measured 952 / 1135 / 1313
+// snap/s and 9.3 / 13.2 / 44.3 MiB peak RSS at 2 / 4 / 24 h.
+constexpr Pinned kPinned[] = {
+    {2.0, 0x46b7ae5eu, 240.0, 14.0},
+    {4.0, 0xe72b9759u, 280.0, 20.0},
+    {24.0, 0x0df97e84u, 330.0, 66.0},
+};
+
+const Pinned* pinned_for(const BenchOptions& options) {
+  if (options.seed != 42) return nullptr;
+  for (const Pinned& p : kPinned) {
+    if (p.hours == options.hours) return &p;
+  }
+  return nullptr;
 }
 
 struct TraceStats {
@@ -225,7 +240,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_path = argv[i + 1];
   }
-  print_title("Streaming vs batch analysis throughput (Isle of View)",
+  print_title("Streaming analysis throughput (Isle of View)",
               "infrastructure bench (no paper figure)");
 
   const std::string trace_path =
@@ -277,95 +292,98 @@ int main(int argc, char** argv) {
     return best;
   };
 
-  const PipelineResult batch = run_best(0);
-  const std::vector<std::size_t> stream_threads{1, 2, 4};
-  std::vector<PipelineResult> streaming;
-  for (const std::size_t t : stream_threads) streaming.push_back(run_best(t));
+  const std::vector<std::size_t> thread_counts{1, 2, 3, 4};
+  std::vector<PipelineResult> runs;
+  for (const std::size_t t : thread_counts) runs.push_back(run_best(t));
   std::remove(trace_path.c_str());
 
-  bool all_ok = batch.ok;
-  for (const auto& s : streaming) all_ok = all_ok && s.ok;
+  const bool all_ok =
+      std::all_of(runs.begin(), runs.end(), [](const PipelineResult& r) { return r.ok; });
   if (!all_ok) {
     std::fprintf(stderr, "ERROR: a pipeline run failed\n");
     return 1;
   }
 
-  const double batch_rate =
-      batch.seconds > 0.0 ? static_cast<double>(batch.snapshots) / batch.seconds : 0.0;
-  std::printf("%-28s %8.3f s  %8.0f snap/s  %8.1f MiB  digest %08x\n",
-              "batch (1 thread)", batch.seconds, batch_rate, batch.rss_mib,
-              batch.digest);
+  const PipelineResult& s1 = runs.front();
+  const Pinned* pinned = pinned_for(options);
   bool identical = true;
-  for (std::size_t i = 0; i < streaming.size(); ++i) {
-    const auto& s = streaming[i];
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const auto& r = runs[i];
     const double rate =
-        s.seconds > 0.0 ? static_cast<double>(s.snapshots) / s.seconds : 0.0;
-    identical = identical && s.digest == batch.digest;
+        r.seconds > 0.0 ? static_cast<double>(r.snapshots) / r.seconds : 0.0;
+    identical = identical && r.digest == s1.digest;
     std::printf("%-28s %8.3f s  %8.0f snap/s  %8.1f MiB  digest %08x%s\n",
-                ("streaming (threads=" + std::to_string(stream_threads[i]) + ")").c_str(),
-                s.seconds, rate, s.rss_mib, s.digest,
-                s.digest == batch.digest ? "" : "  MISMATCH");
+                ("threads=" + std::to_string(thread_counts[i])).c_str(), r.seconds, rate,
+                r.rss_mib, r.digest, r.digest == s1.digest ? "" : "  MISMATCH");
   }
-
-  const PipelineResult& s1 = streaming.front();
   const double s1_rate =
       s1.seconds > 0.0 ? static_cast<double>(s1.snapshots) / s1.seconds : 0.0;
-  const double rss_ratio = batch.rss_mib > 0.0 ? s1.rss_mib / batch.rss_mib : 0.0;
-  const double throughput_ratio = batch_rate > 0.0 ? s1_rate / batch_rate : 0.0;
-  // RSS is only meaningful when each pipeline got its own process and the
-  // trace is big enough to dominate the process baseline.
-  const bool rss_gate_enforced = forked && options.hours >= 24.0 && batch.rss_mib > 0.0;
+  // RSS is only meaningful when each pipeline got its own process.
+  const bool rss_gate_enforced = forked && pinned != nullptr && s1.rss_mib > 0.0;
 
   bool pass = true;
   if (!identical) {
-    std::fprintf(stderr, "ERROR: streaming digest differs from batch\n");
+    std::fprintf(stderr, "ERROR: fingerprint differs across thread counts\n");
     pass = false;
   }
-  if (throughput_ratio < 1.0) {
-    std::fprintf(stderr, "ERROR: streaming throughput %.0f snap/s < batch %.0f snap/s\n",
-                 s1_rate, batch_rate);
+  if (pinned != nullptr && s1.digest != pinned->fingerprint) {
+    std::fprintf(stderr, "ERROR: fingerprint %08x != pinned %08x\n", s1.digest,
+                 pinned->fingerprint);
     pass = false;
   }
-  if (rss_gate_enforced && rss_ratio > 0.25) {
-    std::fprintf(stderr, "ERROR: streaming peak RSS %.1f MiB > 25%% of batch %.1f MiB\n",
-                 s1.rss_mib, batch.rss_mib);
+  if (pinned != nullptr && s1_rate < pinned->snapshots_per_second_floor) {
+    std::fprintf(stderr, "ERROR: 1-thread throughput %.0f snap/s < floor %.0f snap/s\n",
+                 s1_rate, pinned->snapshots_per_second_floor);
     pass = false;
   }
-  std::printf("throughput ratio (stream t=1 / batch): %.2fx\n", throughput_ratio);
-  std::printf("peak RSS ratio  (stream t=1 / batch): %.2f%s\n", rss_ratio,
-              rss_gate_enforced ? "" : "  (gate skipped: short run / no fork)");
+  if (rss_gate_enforced && s1.rss_mib > pinned->peak_rss_ceiling_mib) {
+    std::fprintf(stderr, "ERROR: 1-thread peak RSS %.1f MiB > ceiling %.1f MiB\n",
+                 s1.rss_mib, pinned->peak_rss_ceiling_mib);
+    pass = false;
+  }
+  if (pinned != nullptr) {
+    std::printf("pinned: fingerprint %08x, floor %.0f snap/s, ceiling %.1f MiB%s\n",
+                pinned->fingerprint, pinned->snapshots_per_second_floor,
+                pinned->peak_rss_ceiling_mib,
+                rss_gate_enforced ? "" : "  (RSS ceiling skipped: no fork)");
+  } else {
+    std::printf("no pinned expectations for %.3f h / seed %llu: only the thread-count "
+                "identity gate applies\n",
+                options.hours, static_cast<unsigned long long>(options.seed));
+  }
 
   std::string body;
   appendf(body, "{\n");
   appendf(body, "    \"land\": \"isle_of_view\",\n");
   appendf(body, "    \"hours\": %.3f,\n", options.hours);
   appendf(body, "    \"seed\": %llu,\n", static_cast<unsigned long long>(options.seed));
-  appendf(body, "    \"snapshots\": %zu,\n", batch.snapshots);
+  appendf(body, "    \"snapshots\": %zu,\n", s1.snapshots);
   appendf(body, "    \"hardware_concurrency\": %u,\n",
           std::thread::hardware_concurrency());
   appendf(body, "    \"default_concurrency\": %zu,\n", ThreadPool::default_concurrency());
   appendf(body, "    \"forked\": %s,\n", forked ? "true" : "false");
   appendf(body, "    \"repeats\": %d,\n", kRepeats);
-  appendf(body,
-          "    \"batch\": {\"threads\": 1, \"seconds\": %.6f, "
-          "\"snapshots_per_second\": %.1f, \"peak_rss_mib\": %.2f},\n",
-          batch.seconds, batch_rate, batch.rss_mib);
   appendf(body, "    \"streaming\": [\n");
-  for (std::size_t i = 0; i < streaming.size(); ++i) {
-    const auto& s = streaming[i];
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const auto& r = runs[i];
     appendf(body,
             "      {\"threads\": %zu, \"seconds\": %.6f, "
             "\"snapshots_per_second\": %.1f, \"peak_rss_mib\": %.2f, "
             "\"proximity_rebuilds\": %zu, \"proximity_delta_updates\": %zu}%s\n",
-            stream_threads[i], s.seconds,
-            s.seconds > 0.0 ? static_cast<double>(s.snapshots) / s.seconds : 0.0,
-            s.rss_mib, s.proximity_rebuilds, s.proximity_delta_updates,
-            i + 1 == streaming.size() ? "" : ",");
+            thread_counts[i], r.seconds,
+            r.seconds > 0.0 ? static_cast<double>(r.snapshots) / r.seconds : 0.0,
+            r.rss_mib, r.proximity_rebuilds, r.proximity_delta_updates,
+            i + 1 == runs.size() ? "" : ",");
   }
   appendf(body, "    ],\n");
-  appendf(body, "    \"identical_across_modes\": %s,\n", identical ? "true" : "false");
-  appendf(body, "    \"throughput_ratio_t1\": %.3f,\n", throughput_ratio);
-  appendf(body, "    \"rss_ratio_t1\": %.3f,\n", rss_ratio);
+  appendf(body, "    \"fingerprint\": \"%08x\",\n", s1.digest);
+  appendf(body, "    \"identical_across_threads\": %s,\n", identical ? "true" : "false");
+  if (pinned != nullptr) {
+    appendf(body, "    \"pinned_fingerprint\": \"%08x\",\n", pinned->fingerprint);
+    appendf(body, "    \"snapshots_per_second_floor\": %.1f,\n",
+            pinned->snapshots_per_second_floor);
+    appendf(body, "    \"peak_rss_ceiling_mib\": %.1f,\n", pinned->peak_rss_ceiling_mib);
+  }
   appendf(body, "    \"rss_gate_enforced\": %s,\n", rss_gate_enforced ? "true" : "false");
   appendf(body, "    \"gates_passed\": %s\n", pass ? "true" : "false");
   appendf(body, "  }");

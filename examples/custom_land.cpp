@@ -8,8 +8,7 @@
 #include <cstdio>
 #include <memory>
 
-#include "analysis/contacts.hpp"
-#include "analysis/zones.hpp"
+#include "core/experiment.hpp"
 #include "core/testbed.hpp"
 #include "trace/sessions.hpp"
 
@@ -56,21 +55,22 @@ int main() {
   std::printf("Simulating 6 h of campus life...\n");
   engine.run_until(6.0 * kSecondsPerHour);
 
-  const Trace trace = recorder.take_trace();
-  const TraceSummary summary = trace.summary();
+  // 5. Run the paper's analyses on the trace (contacts at 10 m only).
+  const ExperimentResults res = analyze_trace(recorder.take_trace(), {10.0});
+  const TraceSummary& summary = res.summary;
   std::printf("students seen: %zu | avg on campus: %.1f\n", summary.unique_users,
               summary.avg_concurrent);
 
-  const ContactAnalysis contacts = analyze_contacts(trace, 10.0);
+  const ContactAnalysis& contacts = res.contacts.at(10.0);
   std::printf("contacts at 10 m: %zu | median contact %.0f s (lecture co-attendance)\n",
               contacts.intervals.size(),
               contacts.contact_times.empty() ? 0.0 : contacts.contact_times.median());
 
-  const ZoneAnalysis zones = analyze_zones(trace);
+  const ZoneAnalysis& zones = res.zones;
   std::printf("busiest 20 m cell holds %zu students; %.0f%% of campus is empty\n",
               zones.max_occupancy, zones.empty_fraction * 100.0);
 
-  const auto sessions = extract_sessions(trace);
+  const auto sessions = extract_sessions(res.trace);
   std::printf("sessions: %zu (revisits make them outnumber unique students)\n",
               sessions.size());
   return 0;

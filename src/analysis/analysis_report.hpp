@@ -1,18 +1,18 @@
 // The complete result of analyzing one trace, as a plain value.
 //
-// Batch (run_experiment / analyze_*) and streaming (StreamingAnalyzer)
-// pipelines both produce an AnalysisReport, and the two must agree bit for
-// bit on the same input — that equivalence is the streaming engine's
-// correctness contract and is asserted by tests and by the
-// streaming_throughput bench. analysis_diff explains the first mismatch in
-// words; analysis_fingerprint condenses a report to a CRC so forked bench
-// processes can compare results across address spaces.
+// StreamingAnalyzer produces an AnalysisReport whichever route feeds it
+// (analyze_trace's in-memory trace, a file, a live crawler), and every
+// route must agree bit for bit on the same input — at any thread count and
+// with the fingerprints pinned in the tests. analysis_diff explains the
+// first mismatch in words; analysis_fingerprint condenses a report to a CRC
+// so tests can pin it and forked bench processes can compare results
+// across address spaces.
 //
 // Equality convention: Ecdfs compare by their sorted() sample sequence,
-// bitwise. Sample *insertion* order is not part of the contract — the batch
-// contact extractor already closes final contacts in hash-map order, so no
-// reported quantity may depend on it (Ecdf::mean() is the only accessor
-// that does, and nothing report-facing uses it).
+// bitwise. Sample *insertion* order is not part of the contract — contact
+// extraction closes final contacts in hash-map order, so no reported
+// quantity may depend on it (Ecdf::mean() is the only accessor that does,
+// and nothing report-facing uses it).
 #pragma once
 
 #include <cstdint>
@@ -37,7 +37,7 @@ struct AnalysisReport {
   std::map<double, GraphMetrics> graphs;
   ZoneAnalysis zones;
   TripAnalysis trips;
-  // Optional heavier analyses (off by default in both pipelines).
+  // Optional heavier analyses (off by default; StreamingOptions turns them on).
   std::optional<FlightAnalysis> flights;
   std::optional<RelationSummary> relations;
 };

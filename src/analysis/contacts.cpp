@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
-#include <unordered_set>
-
-#include "analysis/proximity_cache.hpp"
 
 namespace slmob {
 namespace {
@@ -18,173 +14,8 @@ PairKey pair_key(AvatarId a, AvatarId b) {
   return (static_cast<std::uint64_t>(lo) << 32) | hi;
 }
 
-struct OpenContact {
-  Seconds start;
-  Seconds last_seen;
-};
+constexpr Seconds kNoCap = std::numeric_limits<double>::infinity();
 
-}  // namespace
-
-ContactAnalysis analyze_contacts(const Trace& trace, const ProximityCache& cache,
-                                 double range, const ContactOptions& options) {
-  (void)options;
-  ContactAnalysis out;
-  out.range = range;
-  const Seconds tau = trace.sampling_interval();
-  // Censoring only engages when the trace records coverage gaps; a gap-free
-  // trace takes exactly the historical path (bit-identical results).
-  const bool gap_aware = !trace.gaps().empty();
-
-  std::unordered_map<PairKey, OpenContact> open;
-  // Per-pair end time of the previous contact, for ICT.
-  std::unordered_map<PairKey, Seconds> last_contact_end;
-  // Per-user first appearance and first-contact time, for FT.
-  std::unordered_map<AvatarId, Seconds> first_seen;
-  std::unordered_map<AvatarId, Seconds> first_contact;
-  // Distinct users over covered snapshots; only maintained when gap-aware
-  // (first_seen entries get censored away at gaps, so its size undercounts).
-  std::unordered_set<AvatarId> seen_ever;
-
-  const auto close_contact = [&](PairKey key, const OpenContact& contact,
-                                 Seconds end_cap) {
-    const Seconds end = std::min(contact.last_seen + tau, end_cap);
-    const auto a = AvatarId{static_cast<std::uint32_t>(key >> 32)};
-    const auto b = AvatarId{static_cast<std::uint32_t>(key & 0xffffffffu)};
-    out.intervals.push_back({a, b, contact.start, end});
-    out.contact_times.add(end - contact.start);
-    if (const auto prev = last_contact_end.find(key); prev != last_contact_end.end()) {
-      out.inter_contact_times.add(contact.start - prev->second);
-    }
-    last_contact_end[key] = end;
-  };
-  constexpr Seconds kNoCap = std::numeric_limits<double>::infinity();
-
-  // Censor all running observations at a coverage gap starting at `cap`:
-  // open contacts are truncated there (never bridged), the ICT chain is cut
-  // (an inter-contact time spanning unobserved time would be fabricated),
-  // and users still waiting for a first contact restart their FT clock if
-  // they reappear after the gap.
-  const auto censor_at_gap = [&](Seconds cap) {
-    std::vector<PairKey> keys;
-    keys.reserve(open.size());
-    // slmob-lint: allow(ordered-iteration) -- collects keys only; sorted on the next line before any consumer
-    for (const auto& [key, contact] : open) keys.push_back(key);
-    std::sort(keys.begin(), keys.end());
-    for (const PairKey key : keys) close_contact(key, open.at(key), cap);
-    open.clear();
-    last_contact_end.clear();
-    for (auto it = first_seen.begin(); it != first_seen.end();) {
-      if (first_contact.find(it->first) == first_contact.end()) {
-        it = first_seen.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  };
-
-  // Start of the first gap after covered instant `t` (callers guarantee one
-  // exists); the truncation point for observations running at `t`.
-  const auto next_gap_start = [&](Seconds t) {
-    for (const auto& gap : trace.gaps()) {
-      if (gap.end > t) return gap.start;
-    }
-    return t;
-  };
-
-  const auto& snaps = trace.snapshots();
-  bool have_prev = false;
-  Seconds prev_time = 0.0;
-  for (std::size_t s = 0; s < snaps.size(); ++s) {
-    const auto& snap = snaps[s];
-    if (gap_aware) {
-      if (!trace.covered_at(snap.time)) continue;
-      if (have_prev && trace.spans_gap(prev_time, snap.time)) {
-        censor_at_gap(next_gap_start(prev_time));
-      }
-      have_prev = true;
-      prev_time = snap.time;
-      for (const auto& fix : snap.fixes) seen_ever.insert(fix.id);
-    }
-    for (const auto& fix : snap.fixes) {
-      first_seen.try_emplace(fix.id, snap.time);
-    }
-
-    // In-range pairs of this snapshot, from the shared cache.
-    const auto& pairs = cache.pairs(s, range);
-    std::vector<PairKey> current;
-    current.reserve(pairs.size());
-    for (const auto& [i, j] : pairs) {
-      const AvatarId a = snap.fixes[i].id;
-      const AvatarId b = snap.fixes[j].id;
-      const PairKey key = pair_key(a, b);
-      current.push_back(key);
-      auto [it, inserted] = open.try_emplace(key, OpenContact{snap.time, snap.time});
-      if (!inserted) it->second.last_seen = snap.time;
-      first_contact.try_emplace(a, snap.time);
-      first_contact.try_emplace(b, snap.time);
-    }
-    std::sort(current.begin(), current.end());
-
-    // Close contacts not present in this snapshot.
-    for (auto it = open.begin(); it != open.end();) {
-      if (it->second.last_seen < snap.time &&
-          !std::binary_search(current.begin(), current.end(), it->first)) {
-        close_contact(it->first, it->second, kNoCap);
-        it = open.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  // Close whatever is still open at the end of the trace. If the trace ends
-  // inside (or right before) a recorded gap, those contacts are truncated at
-  // the gap edge like any other.
-  Seconds final_cap = kNoCap;
-  if (gap_aware && have_prev && !trace.covered_at(prev_time + tau)) {
-    final_cap = next_gap_start(prev_time);
-  }
-  // slmob-lint: allow(ordered-iteration) -- intervals are re-sorted just below; Ecdf samples are order-invisible (every reader sorts)
-  for (const auto& [key, contact] : open) close_contact(key, contact, final_cap);
-
-  std::sort(out.intervals.begin(), out.intervals.end(),
-            [](const ContactInterval& x, const ContactInterval& y) {
-              return std::tie(x.start, x.a.value, x.b.value) <
-                     std::tie(y.start, y.a.value, y.b.value);
-            });
-
-  out.users_seen = gap_aware ? seen_ever.size() : first_seen.size();
-  out.users_with_contact = first_contact.size();
-  std::vector<Seconds> first_contact_samples;
-  first_contact_samples.reserve(first_contact.size());
-  // slmob-lint: allow(ordered-iteration) -- FT samples are sorted below before entering the Ecdf
-  for (const auto& [id, t_contact] : first_contact) {
-    const Seconds t_seen = first_seen.at(id);
-    // FT = 0 would vanish on the paper's log axis; credit half a sampling
-    // interval to a user already in contact at its first snapshot.
-    const Seconds ft = t_contact - t_seen;
-    first_contact_samples.push_back(ft > 0.0 ? ft : tau / 2.0);
-  }
-  // unordered_map iteration order is implementation-defined; sort so the FT
-  // sample sequence does not depend on hashing details.
-  std::sort(first_contact_samples.begin(), first_contact_samples.end());
-  for (const Seconds ft : first_contact_samples) out.first_contact_times.add(ft);
-  return out;
-}
-
-ContactAnalysis analyze_contacts(const Trace& trace, double range,
-                                 const ContactOptions& options) {
-  const ProximityCache cache(trace, {range});
-  return analyze_contacts(trace, cache, range, options);
-}
-
-// ---------------------------------------------------------------------------
-// ContactStream: the batch loop above, unrolled one snapshot at a time. The
-// censoring logic runs unconditionally against the tracker's gaps-so-far; on
-// a gap-free stream every censor predicate is vacuously false and the code
-// path is the historical one.
-
-namespace {
-constexpr Seconds kStreamNoCap = std::numeric_limits<double>::infinity();
 }  // namespace
 
 ContactStream::ContactStream(double range, Seconds tau, const GapTracker& gaps)
@@ -203,6 +34,11 @@ void ContactStream::close_contact(std::uint64_t key, const OpenContact& contact,
   if (sink_) sink_(out_.intervals.back());
 }
 
+// Censors all running observations at a coverage gap starting at `cap`:
+// open contacts are truncated there (never bridged), the ICT chain is cut
+// (an inter-contact time spanning unobserved time would be fabricated), and
+// users still waiting for a first contact restart their FT clock if they
+// reappear after the gap.
 void ContactStream::censor_at_gap(Seconds cap) {
   if (!epochs_active_) {
     epochs_active_ = true;
@@ -224,10 +60,10 @@ void ContactStream::censor_at_gap(Seconds cap) {
   }
 }
 
-// users_seen falls back to first_seen_ on a gap-free stream (exactly like the
-// batch loop), so the covered-users set only needs maintaining once a gap
-// exists. Until the first gap no censoring has happened, so first_seen_ still
-// holds every user ever seen and can seed the set retroactively.
+// users_seen falls back to first_seen_ on a gap-free stream, so the
+// covered-users set only needs maintaining once a gap exists. Until the
+// first gap no censoring has happened, so first_seen_ still holds every
+// user ever seen and can seed the set retroactively.
 void ContactStream::seed_seen_ever() {
   for (const auto& [id, t] : first_seen_) seen_ever_.insert(id);
   seen_seeded_ = true;
@@ -264,7 +100,7 @@ void ContactStream::on_snapshot(const Snapshot& snap, const PairList& pairs) {
   for (auto it = open_.begin(); it != open_.end();) {
     if (it->second.last_seen < snap.time &&
         !std::binary_search(current_.begin(), current_.end(), it->first)) {
-      close_contact(it->first, it->second, kStreamNoCap);
+      close_contact(it->first, it->second, kNoCap);
       it = open_.erase(it);
     } else {
       ++it;
@@ -273,11 +109,11 @@ void ContactStream::on_snapshot(const Snapshot& snap, const PairList& pairs) {
 }
 
 // Emits one ICT sample per consecutive pair of same-pair intervals whose
-// censoring epochs match (see the header note for why this equals the
-// batch per-pair-map rule). Per pair, closure order is chronological, so
-// ordering intervals by (pair, start) recovers the chains; the samples land
-// in the distribution in a different order than the batch loop emits them,
-// which is invisible — every consumer of an Ecdf reads it sorted.
+// censoring epochs match (see the header note). Per pair, closure order is
+// chronological, so ordering intervals by (pair, start) recovers the
+// chains; the samples land in the distribution in pair order rather than
+// time order, which is invisible — every consumer of an Ecdf reads it
+// sorted.
 void ContactStream::derive_inter_contact_times() {
   auto& intervals = out_.intervals;
   if (intervals.size() < 2) return;
@@ -321,7 +157,7 @@ void ContactStream::derive_inter_contact_times() {
 ContactAnalysis ContactStream::finish() {
   // A trailing gap (journal salvage) may arrive after the last snapshot.
   if (!seen_seeded_ && gaps_->any()) seed_seen_ever();
-  Seconds final_cap = kStreamNoCap;
+  Seconds final_cap = kNoCap;
   if (gaps_->any() && have_prev_ && !gaps_->covered_at(prev_time_ + tau_)) {
     final_cap = gaps_->next_gap_start(prev_time_);
   }

@@ -54,31 +54,15 @@ struct ContactAnalysis {
   std::size_t users_with_contact{0};
 };
 
-struct ContactOptions {
-  // A pair unobserved (either user absent from a snapshot) is out of
-  // contact; no gap tolerance is applied — this matches the conservative
-  // reading of the paper's definition.
-};
-
-class ProximityCache;
-
-// Extracts all contacts from `trace` with communication range `range`.
-ContactAnalysis analyze_contacts(const Trace& trace, double range,
-                                 const ContactOptions& options = {});
-
-// Same, but reads per-snapshot in-range pairs from a prebuilt cache instead
-// of building a SpatialGrid per snapshot. `range` must be one of the radii
-// the cache was built with; `cache` must cover the same trace.
-ContactAnalysis analyze_contacts(const Trace& trace, const ProximityCache& cache,
-                                 double range, const ContactOptions& options = {});
-
-// Incremental contact extraction over a snapshot stream: feed every covered
-// snapshot (empty ones too — absence is what closes contacts) with its
-// in-range pair list, in time order, and call finish() once. Censoring reads
-// the shared GapTracker, which by the stream ordering contract already holds
-// every gap relevant to the snapshot being processed, so results are
-// bit-identical to analyze_contacts on the completed trace (gap-free traces
-// included: with no gaps tracked, the censor branches never fire).
+// Contact extraction over a snapshot stream: feed every covered snapshot
+// (empty ones too — absence is what closes contacts) with its in-range pair
+// list, in time order, and call finish() once. A pair unobserved (either
+// user absent from a snapshot) is out of contact; no gap tolerance is
+// applied — the conservative reading of the paper's definition. Censoring
+// reads the shared GapTracker, which by the stream ordering contract
+// already holds every gap relevant to the snapshot being processed, so the
+// result equals censoring against the completed trace's gap list (with no
+// gaps tracked, the censor branches never fire).
 class ContactStream {
  public:
   using PairList = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
@@ -114,14 +98,12 @@ class ContactStream {
   std::vector<std::uint64_t> current_;  // scratch: this snapshot's pair keys
   // ICT is derived at finish() from consecutive intervals of the same pair
   // instead of a per-pair "end of previous contact" map — that map holds an
-  // entry for every pair that ever met and was the stream's largest
-  // non-output allocation on a day-long trace. The batch rule "a gap cuts
-  // the ICT chain" (the map is cleared at every censor) is reproduced by a
-  // censoring epoch: every censor bumps it, every interval records the
-  // epoch of its closure, and consecutive contacts of a pair chain only
-  // when their epochs match. An interval closed by the censor itself
-  // records the pre-bump epoch, so — exactly like the map, which the
-  // censor clears right after writing it — it can never chain forward.
+  // entry for every pair that ever met and would be the largest non-output
+  // allocation on a day-long trace. The rule "a gap cuts the ICT chain" is
+  // kept by a censoring epoch: every censor bumps it, every interval
+  // records the epoch of its closure, and consecutive contacts of a pair
+  // chain only when their epochs match. An interval closed by the censor
+  // itself records the pre-bump epoch, so it can never chain forward.
   // Epoch storage is allocated lazily at the first censor; a gap-free
   // stream (no censors, every pair chains) records nothing.
   std::uint32_t censor_epoch_{0};

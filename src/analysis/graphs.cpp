@@ -1,282 +1,13 @@
 #include "analysis/graphs.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <stdexcept>
-
-#include "analysis/proximity_cache.hpp"
-#include "analysis/spatial_index.hpp"
-#include "util/thread_pool.hpp"
 
 namespace slmob {
-
-LosGraph::LosGraph(const Snapshot& snapshot, double range) {
-  adj_.resize(snapshot.fixes.size());
-  std::vector<Vec3> positions;
-  positions.reserve(snapshot.fixes.size());
-  for (const auto& fix : snapshot.fixes) positions.push_back(fix.pos);
-  if (positions.empty()) return;
-  const SpatialGrid grid(positions, range);
-  add_pairs(grid.pairs_within());
-  sort_adjacency();
-}
-
-LosGraph::LosGraph(std::size_t node_count,
-                   const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs) {
-  adj_.resize(node_count);
-  add_pairs(pairs);
-  sort_adjacency();
-}
-
-void LosGraph::add_pairs(
-    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs) {
-  for (const auto& [i, j] : pairs) {
-    adj_[i].push_back(j);
-    adj_[j].push_back(i);
-  }
-}
-
-void LosGraph::sort_adjacency() {
-  for (auto& n : adj_) std::sort(n.begin(), n.end());
-}
-
-std::size_t LosGraph::edge_count() const {
-  std::size_t total = 0;
-  for (const auto& n : adj_) total += n.size();
-  return total / 2;
-}
-
-std::vector<std::vector<std::uint32_t>> LosGraph::components() const {
-  std::vector<std::vector<std::uint32_t>> out;
-  std::vector<char> visited(adj_.size(), 0);
-  for (std::uint32_t start = 0; start < adj_.size(); ++start) {
-    if (visited[start]) continue;
-    std::vector<std::uint32_t> comp;
-    std::deque<std::uint32_t> queue{start};
-    visited[start] = 1;
-    while (!queue.empty()) {
-      const std::uint32_t u = queue.front();
-      queue.pop_front();
-      comp.push_back(u);
-      for (const std::uint32_t v : adj_[u]) {
-        if (!visited[v]) {
-          visited[v] = 1;
-          queue.push_back(v);
-        }
-      }
-    }
-    out.push_back(std::move(comp));
-  }
-  return out;
-}
-
-std::size_t LosGraph::eccentricity(std::uint32_t start) const {
-  std::vector<std::int32_t> dist(adj_.size(), -1);
-  std::deque<std::uint32_t> queue{start};
-  dist[start] = 0;
-  std::size_t ecc = 0;
-  while (!queue.empty()) {
-    const std::uint32_t u = queue.front();
-    queue.pop_front();
-    ecc = std::max(ecc, static_cast<std::size_t>(dist[u]));
-    for (const std::uint32_t v : adj_[u]) {
-      if (dist[v] < 0) {
-        dist[v] = dist[u] + 1;
-        queue.push_back(v);
-      }
-    }
-  }
-  return ecc;
-}
-
-std::size_t LosGraph::largest_component_diameter() const {
-  const auto comps = components();
-  if (comps.empty()) return 0;
-  const auto largest = std::max_element(
-      comps.begin(), comps.end(),
-      [](const auto& a, const auto& b) { return a.size() < b.size(); });
-  if (largest->size() < 2) return 0;
-  // One BFS per component node, sharing the distance array and a flat queue
-  // across sweeps; only the component's entries need resetting in between.
-  std::vector<std::int32_t> dist(adj_.size(), -1);
-  std::vector<std::uint32_t> queue;
-  queue.reserve(largest->size());
-  std::size_t diameter = 0;
-  for (const std::uint32_t src : *largest) {
-    for (const std::uint32_t u : *largest) dist[u] = -1;
-    queue.clear();
-    queue.push_back(src);
-    dist[src] = 0;
-    std::size_t ecc = 0;
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      const std::uint32_t u = queue[head];
-      ecc = std::max(ecc, static_cast<std::size_t>(dist[u]));
-      for (const std::uint32_t v : adj_[u]) {
-        if (dist[v] < 0) {
-          dist[v] = dist[u] + 1;
-          queue.push_back(v);
-        }
-      }
-    }
-    diameter = std::max(diameter, ecc);
-  }
-  return diameter;
-}
-
-double LosGraph::clustering(std::size_t i) const {
-  const auto& nbrs = adj_.at(i);
-  const std::size_t k = nbrs.size();
-  if (k < 2) return 0.0;
-  std::size_t links = 0;
-  for (std::size_t a = 0; a < k; ++a) {
-    const auto& na = adj_[nbrs[a]];
-    for (std::size_t b = a + 1; b < k; ++b) {
-      if (std::binary_search(na.begin(), na.end(), nbrs[b])) ++links;
-    }
-  }
-  return 2.0 * static_cast<double>(links) / (static_cast<double>(k) * static_cast<double>(k - 1));
-}
-
-double LosGraph::mean_clustering() const {
-  if (adj_.empty()) return 0.0;
-  // Neighbour-mark triangle counting: for node i, flag N(i), then walk each
-  // neighbour's adjacency counting flagged entries. O(sum_a deg(a)^2) array
-  // probes instead of O(k^2 log k) binary searches per node, with the exact
-  // same integer link counts (so the summed doubles are bit-identical to
-  // summing clustering(i)).
-  std::vector<char> marked(adj_.size(), 0);
-  double total = 0.0;
-  for (std::size_t i = 0; i < adj_.size(); ++i) {
-    const auto& nbrs = adj_[i];
-    const std::size_t k = nbrs.size();
-    if (k < 2) continue;
-    for (const std::uint32_t a : nbrs) marked[a] = 1;
-    std::size_t links = 0;
-    for (const std::uint32_t a : nbrs) {
-      for (const std::uint32_t b : adj_[a]) {
-        if (b > a && marked[b]) ++links;
-      }
-    }
-    for (const std::uint32_t a : nbrs) marked[a] = 0;
-    total +=
-        2.0 * static_cast<double>(links) / (static_cast<double>(k) * static_cast<double>(k - 1));
-  }
-  return total / static_cast<double>(adj_.size());
-}
-
-namespace {
-
-// Partial aggregate over one contiguous chunk of snapshots. Counts are kept
-// raw so chunk merging can recompute the isolated fraction exactly.
-struct GraphChunk {
-  Ecdf degrees;
-  Ecdf diameters;
-  Ecdf clustering;
-  std::size_t snapshots_analyzed{0};
-  std::size_t isolated{0};
-  std::size_t degree_samples{0};
-};
-
-// Aggregates metrics of one snapshot graph into a chunk.
-void accumulate(GraphChunk& chunk, const LosGraph& graph) {
-  for (std::size_t i = 0; i < graph.node_count(); ++i) {
-    const std::size_t deg = graph.degree(i);
-    chunk.degrees.add(static_cast<double>(deg));
-    ++chunk.degree_samples;
-    if (deg == 0) ++chunk.isolated;
-  }
-  chunk.diameters.add(static_cast<double>(graph.largest_component_diameter()));
-  chunk.clustering.add(graph.mean_clustering());
-  ++chunk.snapshots_analyzed;
-}
-
-GraphMetrics finalize(std::vector<GraphChunk> chunks, double range) {
-  GraphMetrics out;
-  out.range = range;
-  std::size_t isolated = 0;
-  std::size_t degree_samples = 0;
-  for (auto& chunk : chunks) {
-    out.degrees.merge(chunk.degrees);
-    out.diameters.merge(chunk.diameters);
-    out.clustering.merge(chunk.clustering);
-    out.snapshots_analyzed += chunk.snapshots_analyzed;
-    isolated += chunk.isolated;
-    degree_samples += chunk.degree_samples;
-  }
-  out.isolated_fraction =
-      degree_samples == 0 ? 0.0
-                          : static_cast<double>(isolated) / static_cast<double>(degree_samples);
-  return out;
-}
-
-}  // namespace
-
-GraphMetrics analyze_graphs(const Trace& trace, double range, std::size_t stride) {
-  if (stride == 0) throw std::invalid_argument("analyze_graphs: stride must be >= 1");
-  GraphChunk chunk;
-  const auto& snaps = trace.snapshots();
-  const bool gap_aware = !trace.gaps().empty();
-  for (std::size_t s = 0; s < snaps.size(); s += stride) {
-    const auto& snap = snaps[s];
-    if (snap.fixes.empty()) continue;
-    // Snapshots inside a coverage gap carry no valid observation.
-    if (gap_aware && !trace.covered_at(snap.time)) continue;
-    accumulate(chunk, LosGraph(snap, range));
-  }
-  std::vector<GraphChunk> chunks;
-  chunks.push_back(std::move(chunk));
-  return finalize(std::move(chunks), range);
-}
-
-GraphMetrics analyze_graphs(const Trace& trace, const ProximityCache& cache,
-                            double range, std::size_t stride, ThreadPool* pool) {
-  if (stride == 0) throw std::invalid_argument("analyze_graphs: stride must be >= 1");
-  const auto& snaps = trace.snapshots();
-  const bool gap_aware = !trace.gaps().empty();
-  std::vector<std::size_t> indices;
-  indices.reserve(snaps.size() / stride + 1);
-  for (std::size_t s = 0; s < snaps.size(); s += stride) {
-    if (snaps[s].fixes.empty()) continue;
-    if (gap_aware && !trace.covered_at(snaps[s].time)) continue;
-    indices.push_back(s);
-  }
-
-  const auto analyze_index = [&](std::size_t s) {
-    return LosGraph(snaps[s].fixes.size(), cache.pairs(s, range));
-  };
-
-  // Contiguous chunks of the index list; merged in chunk order, the ECDF
-  // sample sequences concatenate to exactly the sequential snapshot order,
-  // whatever the chunk count or scheduling.
-  std::size_t n_chunks = 1;
-  if (pool != nullptr && pool->concurrency() > 1 && indices.size() > 1) {
-    n_chunks = std::min(indices.size(), pool->concurrency() * 4);
-  }
-  const std::size_t per_chunk = (indices.size() + n_chunks - 1) / std::max<std::size_t>(n_chunks, 1);
-
-  const auto build_chunk = [&](std::size_t c) {
-    GraphChunk chunk;
-    const std::size_t lo = c * per_chunk;
-    const std::size_t hi = std::min(indices.size(), lo + per_chunk);
-    for (std::size_t k = lo; k < hi; ++k) {
-      accumulate(chunk, analyze_index(indices[k]));
-    }
-    return chunk;
-  };
-
-  std::vector<GraphChunk> chunks;
-  if (n_chunks > 1) {
-    chunks = parallel_map<GraphChunk>(*pool, n_chunks, build_chunk);
-  } else {
-    chunks.push_back(build_chunk(0));
-  }
-  return finalize(std::move(chunks), range);
-}
 
 void GraphStream::on_snapshot(
     std::size_t node_count,
     const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs) {
-  if (node_count == 0) return;  // batch skips empty snapshots
+  if (node_count == 0) return;  // an empty snapshot has no graph
   const auto n = static_cast<std::uint32_t>(node_count);
 
   // CSR adjacency by counting sort: degree pass, prefix sum, scatter.
@@ -295,7 +26,7 @@ void GraphStream::on_snapshot(
   const auto nbr_begin = [&](std::uint32_t i) { return csr_offsets_[i]; };
   const auto nbr_end = [&](std::uint32_t i) { return csr_offsets_[i + 1]; };
 
-  // Degree samples, in node order like the batch loop.
+  // Degree samples, in node order.
   for (std::uint32_t i = 0; i < n; ++i) {
     const std::uint32_t deg = nbr_end(i) - nbr_begin(i);
     degrees_.add(static_cast<double>(deg));
@@ -303,9 +34,9 @@ void GraphStream::on_snapshot(
     if (deg == 0) ++isolated_;
   }
 
-  // Largest connected component (first one wins a size tie, matching
-  // LosGraph::components + max_element on discovery order). comp_ doubles
-  // as the BFS queue: a component is exactly what the BFS visits.
+  // Largest connected component (the first one discovered wins a size
+  // tie). comp_ doubles as the BFS queue: a component is exactly what the
+  // BFS visits.
   visited_.assign(n, 0);
   largest_.clear();
   for (std::uint32_t start = 0; start < n; ++start) {
@@ -353,8 +84,10 @@ void GraphStream::on_snapshot(
   }
   diameters_.add(static_cast<double>(diameter));
 
-  // Mean clustering by neighbour marking, same integer link counts (and so
-  // the same floating-point sum) as LosGraph::mean_clustering.
+  // Mean Watts-Strogatz clustering by neighbour marking: for node i, flag
+  // N(i), then walk each neighbour's adjacency counting flagged entries —
+  // O(sum_a deg(a)^2) array probes, exact integer link counts, summed in
+  // node order.
   marked_.assign(n, 0);
   double total = 0.0;
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -375,6 +108,21 @@ void GraphStream::on_snapshot(
   }
   clustering_.add(total / static_cast<double>(n));
   ++snapshots_analyzed_;
+}
+
+void GraphStream::append(GraphStream& later) {
+  degrees_.merge(later.degrees_);
+  diameters_.merge(later.diameters_);
+  clustering_.merge(later.clustering_);
+  snapshots_analyzed_ += later.snapshots_analyzed_;
+  isolated_ += later.isolated_;
+  degree_samples_ += later.degree_samples_;
+  later.degrees_.clear();
+  later.diameters_.clear();
+  later.clustering_.clear();
+  later.snapshots_analyzed_ = 0;
+  later.isolated_ = 0;
+  later.degree_samples_ = 0;
 }
 
 GraphMetrics GraphStream::finish() {

@@ -10,53 +10,14 @@
 //    snapshot: the mean over that snapshot's nodes).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "stats/ecdf.hpp"
-#include "trace/trace.hpp"
 
 namespace slmob {
-
-class ProximityCache;
-class ThreadPool;
-
-// Adjacency-list graph of one snapshot. Adjacency lists are sorted at
-// construction so edge lookups (clustering) can binary-search.
-class LosGraph {
- public:
-  LosGraph(const Snapshot& snapshot, double range);
-  // Builds the graph from a precomputed pair list (i < j, indices into the
-  // snapshot's fixes) — the ProximityCache fast path.
-  LosGraph(std::size_t node_count,
-           const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs);
-
-  [[nodiscard]] std::size_t node_count() const { return adj_.size(); }
-  // Neighbour indices of node i, ascending.
-  [[nodiscard]] const std::vector<std::uint32_t>& neighbors(std::size_t i) const {
-    return adj_.at(i);
-  }
-  [[nodiscard]] std::size_t degree(std::size_t i) const { return adj_.at(i).size(); }
-  [[nodiscard]] std::size_t edge_count() const;
-
-  // Connected components as vectors of node indices.
-  [[nodiscard]] std::vector<std::vector<std::uint32_t>> components() const;
-  // Longest shortest path within the largest connected component. 0 for an
-  // empty graph or singleton component.
-  [[nodiscard]] std::size_t largest_component_diameter() const;
-  // Watts-Strogatz clustering coefficient of node i (0 when degree < 2).
-  [[nodiscard]] double clustering(std::size_t i) const;
-  // Mean clustering over all nodes (0 for an empty graph).
-  [[nodiscard]] double mean_clustering() const;
-
- private:
-  void add_pairs(const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs);
-  void sort_adjacency();
-  // BFS eccentricity of `start` restricted to its component.
-  [[nodiscard]] std::size_t eccentricity(std::uint32_t start) const;
-  std::vector<std::vector<std::uint32_t>> adj_;
-};
 
 struct GraphMetrics {
   double range{0.0};
@@ -67,37 +28,27 @@ struct GraphMetrics {
   double isolated_fraction{0.0};  // fraction of degree samples equal to 0
 };
 
-// Computes graph metrics over all snapshots with >= 1 avatar. `stride`
-// analyses every stride-th snapshot (1 = all; larger for quick looks).
-GraphMetrics analyze_graphs(const Trace& trace, double range, std::size_t stride = 1);
-
-// Same, but builds each snapshot's graph from the shared cache, and — when
-// `pool` is non-null — fans contiguous snapshot chunks across it, merging
-// partial results in snapshot order so the output (including ECDF sample
-// order) is identical for any thread count.
-GraphMetrics analyze_graphs(const Trace& trace, const ProximityCache& cache,
-                            double range, std::size_t stride = 1,
-                            ThreadPool* pool = nullptr);
-
 // Incremental graph metrics over a snapshot stream: feed every covered
-// snapshot (stride 1) with its in-range pair list, in time order. Empty
-// snapshots are skipped internally, matching the batch guard. Sample
-// insertion order equals the batch single-chunk order, so results are
-// bit-identical to analyze_graphs.
+// snapshot with its in-range pair list (i < j, indices into the snapshot's
+// fixes), in time order. Empty snapshots are skipped. This is the one
+// graph-metrics kernel of the analysis pipeline.
 //
-// Unlike the batch path, which builds a LosGraph (a vector-of-vectors with
-// per-node allocations and sorts) for every snapshot, the stream keeps one
-// flat CSR adjacency plus BFS/marker scratch and rebuilds them in place —
-// zero allocations per snapshot once warm, and contiguous neighbour scans
-// in the BFS and triangle loops. Degree, diameter and clustering values
-// don't depend on neighbour order (distances are exact, link counts are set
-// cardinalities), so the metrics stay bit-identical to the LosGraph path.
+// The stream keeps one flat CSR adjacency plus BFS/marker scratch and
+// rebuilds them in place — zero allocations per snapshot once warm, and
+// contiguous neighbour scans in the BFS and triangle loops. Degree,
+// diameter and clustering values don't depend on the order of the pair
+// list (distances are exact, link counts are set cardinalities).
 class GraphStream {
  public:
   explicit GraphStream(double range) : range_(range) {}
 
   void on_snapshot(std::size_t node_count,
                    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs);
+  // Appends `later`'s samples and counts after this stream's, exactly as if
+  // its snapshots had been fed here next, and empties `later` (its scratch
+  // and sample capacity stay warm). Lets contiguous slices of a snapshot
+  // sequence be analysed in parallel and joined in order.
+  void append(GraphStream& later);
   [[nodiscard]] GraphMetrics finish();
 
  private:

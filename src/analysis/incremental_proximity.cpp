@@ -7,13 +7,12 @@
 
 namespace slmob {
 
-IncrementalProximity::IncrementalProximity(std::vector<double> ranges,
-                                           double churn_threshold)
-    : ranges_(std::move(ranges)), churn_threshold_(churn_threshold) {
+IncrementalProximity::IncrementalProximity(std::vector<double> ranges)
+    : ranges_(std::move(ranges)) {
   std::sort(ranges_.begin(), ranges_.end());
   ranges_.erase(std::unique(ranges_.begin(), ranges_.end()), ranges_.end());
   for (const double r : ranges_) {
-    if (r <= 0.0) throw std::invalid_argument("ProximityCache: ranges must be positive");
+    if (r <= 0.0) throw std::invalid_argument("IncrementalProximity: ranges must be positive");
   }
   if (!ranges_.empty()) cell_ = ranges_.back();
   lists_.resize(ranges_.size());
@@ -22,7 +21,7 @@ IncrementalProximity::IncrementalProximity(std::vector<double> ranges,
 std::size_t IncrementalProximity::range_index(double range) const {
   const auto it = std::lower_bound(ranges_.begin(), ranges_.end(), range);
   if (it == ranges_.end() || *it != range) {
-    throw std::invalid_argument("ProximityCache: range was not requested at build time");
+    throw std::invalid_argument("IncrementalProximity: range was not requested at construction");
   }
   return static_cast<std::size_t>(it - ranges_.begin());
 }
@@ -92,7 +91,7 @@ void IncrementalProximity::advance(const Snapshot& snapshot) {
       std::max({n, valid_ ? active_.size() : std::size_t{0}, std::size_t{1}});
   const bool rebuild =
       !valid_ || static_cast<double>(entered + departed + moved) >
-                     churn_threshold_ * static_cast<double>(basis);
+                     kChurnThreshold * static_cast<double>(basis);
   if (rebuild) {
     full_rebuild(snapshot);
     ++rebuilds_;

@@ -1,13 +1,12 @@
 // Incrementally maintained proximity pairs for streaming analysis.
 //
-// ProximityCache rebuilds a SpatialGrid from scratch for every snapshot; at
-// tau = 10 s most avatars have not moved between samples, so nearly all of
-// that work recomputes pairs that cannot have changed. IncrementalProximity
+// Rebuilding a spatial index from scratch for every snapshot wastes work:
+// at tau = 10 s most avatars have not moved between samples, so nearly all
+// of it recomputes pairs that cannot have changed. IncrementalProximity
 // keeps a persistent structure-of-arrays state across snapshots — one slot
 // per live avatar (id, position, grid cell) plus a cell -> slots map and a
-// per-slot adjacency list of (partner, twin index, planar distance) — and on
-// each
-// advance() only touches avatars that entered, left or moved:
+// per-slot adjacency list of (partner, twin index, planar distance) — and
+// on each advance() only touches avatars that entered, left or moved:
 //
 //   departures  drop the slot, its cell entry and its adjacency edges;
 //   moves       drop the slot's edges and re-home its cell entry;
@@ -19,12 +18,12 @@
 // dist2d(a, b) <= r_max }, each edge stored once per endpoint with the same
 // distance value SpatialGrid would compute. Stored distances stay bit-exact
 // across snapshots because distance2d_to of two unmoved points is a pure
-// function of their coordinates, so emitted pair lists are bit-identical to
-// ProximityCache's per-snapshot rebuild (as sets; emission order differs,
-// which no downstream consumer observes).
+// function of their coordinates, so emitted pair lists equal a fresh
+// per-snapshot SpatialGrid's as sets (emission order differs, which no
+// downstream consumer observes).
 //
-// When the fraction of changed avatars exceeds `churn_threshold` the delta
-// path would touch most slots anyway, so the snapshot is answered by a full
+// When more than kChurnThreshold of the avatars changed, the delta path
+// would touch most slots anyway, so the snapshot is answered by a full
 // rebuild (identical to a fresh SpatialGrid) that also reseeds the
 // persistent state. A snapshot containing duplicate avatar ids (two fixes,
 // one id) cannot be represented by the id-keyed state; it is answered by a
@@ -46,11 +45,10 @@ class IncrementalProximity {
  public:
   using PairList = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
 
-  // `ranges` as in ProximityCache: deduplicated ascending, each > 0 (throws
-  // std::invalid_argument otherwise). Pairs are maintained at the largest
-  // radius; smaller radii filter by the recorded distance.
-  explicit IncrementalProximity(std::vector<double> ranges,
-                                double churn_threshold = 0.35);
+  // `ranges` are deduplicated and sorted ascending; each must be > 0
+  // (throws std::invalid_argument otherwise). Pairs are maintained at the
+  // largest radius; smaller radii filter by the recorded distance.
+  explicit IncrementalProximity(std::vector<double> ranges);
 
   // Advances to the next snapshot (must be fed in time order). Afterwards
   // positions() and pairs() describe exactly this snapshot.
@@ -72,6 +70,9 @@ class IncrementalProximity {
 
  private:
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  // Fraction of changed (entered + departed + moved) avatars per snapshot
+  // above which a full rebuild replaces the delta update.
+  static constexpr double kChurnThreshold = 0.35;
 
   struct Slot {
     AvatarId id{};
@@ -106,7 +107,6 @@ class IncrementalProximity {
   std::uint32_t alloc_slot();
 
   std::vector<double> ranges_;
-  double churn_threshold_;
   double cell_{0.0};  // grid cell size = largest range
 
   // Persistent SoA state (valid_ == true between snapshots on the delta path).

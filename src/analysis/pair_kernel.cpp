@@ -286,7 +286,7 @@ void PairKernel::classify(std::span<const double> ranges, PairList* lists) {
   for (const Hit& h : hits_) {
     std::size_t ri = 0;
     while (ri < nr && range_t2_[ri] < h.d2) ++ri;
-    // slmob-lint: allow(alloc-free) -- caller-owned lists are reserved/reused by ProximityCache; warm calls never allocate (gated)
+    // slmob-lint: allow(alloc-free) -- caller-owned lists are reserved/reused by IncrementalProximity; warm calls never allocate (gated)
     for (; ri < nr; ++ri) lists[ri].emplace_back(h.i, h.j);
   }
 }

@@ -1,5 +1,5 @@
-// Batched cell-sorted proximity kernel shared by the batch, streaming and
-// incremental analysis paths.
+// Batched cell-sorted proximity kernel shared by the incremental analysis
+// path (IncrementalProximity) and SpatialGrid.
 //
 // Every §3 result of the paper reduces to the same per-snapshot question —
 // "which avatar pairs are within r" — and the hash-grid answer (one

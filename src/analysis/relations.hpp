@@ -46,7 +46,7 @@ struct RelationGraphOptions {
 
 class RelationGraph {
  public:
-  // Builds the graph from extracted contact intervals (analyze_contacts).
+  // Builds the graph from extracted contact intervals (ContactStream).
   RelationGraph(const std::vector<ContactInterval>& intervals,
                 RelationGraphOptions options = {});
 

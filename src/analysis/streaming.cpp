@@ -8,31 +8,33 @@
 
 namespace slmob {
 
-// Per-range consumer pair. Each instance is owned by exactly one snapshot
-// task (contacts) plus one graph task, so tasks never share mutable state.
+// Per-range consumers. `contacts` is owned by one task per window; graph
+// work is split into one task per window slice: slice 0 feeds `graphs`
+// directly and slice s > 0 feeds graph_slices[s - 1], which flush_window
+// appends to `graphs` in slice order. No two tasks share mutable state.
 struct StreamingAnalyzer::RangeConsumers {
-  RangeConsumers(double r, std::size_t index, Seconds tau, const GapTracker& gaps)
-      : range(r), ri(index), contacts(r, tau, gaps), graphs(r) {}
+  RangeConsumers(double r, std::size_t index, Seconds tau, const GapTracker& gaps,
+                 std::size_t slices)
+      : range(r), ri(index), contacts(r, tau, gaps), graphs(r) {
+    graph_slices.reserve(slices - 1);
+    for (std::size_t s = 1; s < slices; ++s) graph_slices.emplace_back(r);
+  }
 
   double range;
   std::size_t ri;  // index into IncrementalProximity::pairs()
   ContactStream contacts;
   GraphStream graphs;
+  std::vector<GraphStream> graph_slices;
   bool feeds_relations{false};
 };
 
 StreamingAnalyzer::StreamingAnalyzer(StreamingOptions options)
-    : options_(std::move(options)),
-      pool_(options_.threads),
-      prox_(options_.ranges, options_.churn_threshold) {
-  if (options_.window == 0) {
-    throw std::invalid_argument("StreamingAnalyzer: window must be >= 1");
-  }
+    : options_(std::move(options)), pool_(options_.threads), prox_(options_.ranges) {
   // Bounded peak RSS is this engine's contract; make the allocator return
   // freed pages and grow sample buffers without copying (see sysinfo.hpp).
   tune_malloc_for_streaming();
-  window_.resize(options_.window);
-  zones_ = std::make_unique<ZoneStream>(options_.land_size, options_.zone_cell_size);
+  window_.resize(kWindow);
+  zones_ = std::make_unique<ZoneStream>(options_.land_size);
   if (options_.relations) {
     const auto& rs = prox_.ranges();
     if (std::find(rs.begin(), rs.end(), options_.relation_range) == rs.end()) {
@@ -45,8 +47,8 @@ StreamingAnalyzer::StreamingAnalyzer(StreamingOptions options)
   // The session chain is shared: one SessionStream feeds trips (always) and
   // flights (optional). Sessions are extracted with options_.sessions;
   // flight_options.sessions is unused here (FlightStream only applies the
-  // speed/length thresholds), so batch equivalence with analyze_flights
-  // requires flight_options.sessions == sessions — true for the defaults.
+  // speed/length thresholds), so agreement with analyze_flights requires
+  // flight_options.sessions == sessions — true for the defaults.
   sessions_ = std::make_unique<SessionStream>(gaps_, options_.sessions);
   trips_ = std::make_unique<TripStream>(options_.sessions);
   if (options_.flights) {
@@ -65,9 +67,10 @@ void StreamingAnalyzer::on_begin(const std::string& /*land_name*/,
   if (begun_) return;
   begun_ = true;
 
+  const std::size_t slices = pool_.concurrency() * kGraphSlicesPerThread;
   for (std::size_t ri = 0; ri < prox_.ranges().size(); ++ri) {
     const double r = prox_.ranges()[ri];
-    auto rc = std::make_unique<RangeConsumers>(r, ri, sampling_interval, gaps_);
+    auto rc = std::make_unique<RangeConsumers>(r, ri, sampling_interval, gaps_, slices);
     if (relations_ && r == options_.relation_range) {
       rc->feeds_relations = true;
       rc->contacts.set_interval_sink(
@@ -76,22 +79,31 @@ void StreamingAnalyzer::on_begin(const std::string& /*land_name*/,
     per_range_.push_back(std::move(rc));
   }
 
-  // One task list, rebuilt never: each task walks the buffered window as a
-  // tight per-consumer loop (window_[0, win_used_) is read-only during a
-  // flush) and appends to exactly one consumer. Looping per consumer rather
-  // than fanning out per snapshot keeps each consumer's hot loop resident
-  // instead of cycling all six through the instruction cache every 10
-  // simulated seconds.
-  for (auto& rc : per_range_) {
-    RangeConsumers* c = rc.get();
+  // One task list, rebuilt never: each task walks (a slice of) the buffered
+  // window as a tight per-consumer loop (window_[0, win_used_) is read-only
+  // during a flush) and appends to exactly one consumer. Looping per
+  // consumer rather than fanning out per snapshot keeps each consumer's hot
+  // loop resident instead of cycling all six through the instruction cache
+  // every 10 simulated seconds. Longest tasks first, so that no long task
+  // is left to start last: the largest range's contacts (one sequential
+  // task), then its graph slices, then the smaller ranges.
+  for (auto it = per_range_.rbegin(); it != per_range_.rend(); ++it) {
+    RangeConsumers* c = it->get();
     window_tasks_.emplace_back([this, c] {
       for (std::size_t k = 0; k < win_used_; ++k)
         c->contacts.on_snapshot(window_[k].snap, window_[k].lists[c->ri]);
     });
-    window_tasks_.emplace_back([this, c] {
-      for (std::size_t k = 0; k < win_used_; ++k)
-        c->graphs.on_snapshot(window_[k].snap.fixes.size(), window_[k].lists[c->ri]);
-    });
+    for (std::size_t s = 0; s < slices; ++s) {
+      GraphStream* graphs = s == 0 ? &c->graphs : &c->graph_slices[s - 1];
+      window_tasks_.emplace_back([this, c, graphs, s, slices] {
+        // Contiguous, near-equal slices; uneven when slices does not
+        // divide win_used_, empty when the window holds fewer snapshots.
+        const std::size_t lo = s * win_used_ / slices;
+        const std::size_t hi = (s + 1) * win_used_ / slices;
+        for (std::size_t k = lo; k < hi; ++k)
+          graphs->on_snapshot(window_[k].snap.fixes.size(), window_[k].lists[c->ri]);
+      });
+    }
   }
   window_tasks_.emplace_back([this] {
     for (std::size_t k = 0; k < win_used_; ++k)
@@ -134,8 +146,8 @@ void StreamingAnalyzer::on_snapshot(const Snapshot& snapshot) {
   progress_.last_time = use->time;
 
   // A snapshot inside a recorded coverage gap carries no valid observation:
-  // every batch analysis skips it (it still counts toward the summary,
-  // which Trace::summary computes over all snapshots). The stream ordering
+  // every consumer skips it (it still counts toward the summary, which
+  // Trace::summary computes over all snapshots). The stream ordering
   // contract guarantees any gap covering this snapshot is already known, so
   // the gaps-so-far answer equals the finished trace's.
   if (!covered) return;
@@ -167,6 +179,11 @@ void StreamingAnalyzer::flush_window() {
   if (win_used_ == 0) return;
   parallel_for(pool_, window_tasks_.size(),
                [&](std::size_t i) { window_tasks_[i](); });
+  // Slice partials join in slice order: the samples land exactly as if one
+  // stream had consumed the whole window.
+  for (auto& rc : per_range_) {
+    for (GraphStream& slice : rc->graph_slices) rc->graphs.append(slice);
+  }
   win_used_ = 0;
 }
 
@@ -184,7 +201,7 @@ AnalysisReport StreamingAnalyzer::finish() {
   finished_ = true;
   // A source with zero events never called on_begin; with no snapshots the
   // sampling interval is unobservable in any output, so any value yields
-  // the batch empty-trace report.
+  // the empty-trace report.
   if (!begun_) on_begin("", 10.0);
   flush_window();  // drain the partially filled last window
 
@@ -204,7 +221,7 @@ AnalysisReport StreamingAnalyzer::finish() {
   }
 
   // Pre-create map nodes so finish tasks only write through references
-  // (same discipline as batch analyze_trace).
+  // (std::map never invalidates mapped references).
   if (options_.flights) report.flights.emplace();
   if (relations_) report.relations.emplace();
   std::vector<std::function<void()>> tasks;

@@ -1,35 +1,37 @@
-// Streaming incremental analysis engine.
+// Streaming incremental analysis engine — the one analysis pipeline.
 //
 // StreamingAnalyzer consumes a trace one snapshot at a time (as a
-// LiveTraceSink — fed by drive_stream over any TraceStream, or live by the
-// crawler) and produces the same AnalysisReport the batch pipeline
-// (analyze_trace) computes from a fully materialised Trace, bit for bit.
-// Memory is bounded by *concurrent* users — the persistent proximity state,
-// per-consumer open records, buffered per-session samples and a fixed-size
-// snapshot window — never by trace duration; no snapshot is retained beyond
-// its window.
+// LiveTraceSink — fed by drive_stream over any TraceStream, including the
+// in-memory MemoryTraceStream behind analyze_trace, or live by the crawler)
+// and produces the AnalysisReport of every §3 metric. Memory is bounded by
+// *concurrent* users — the persistent proximity state, per-consumer open
+// records, buffered per-session samples and a fixed-size snapshot window —
+// never by trace duration; no snapshot is retained beyond its window.
 //
 // One pass, all metrics: each snapshot advances the IncrementalProximity
 // state once (all radii share it) and is buffered — snapshot, positions,
 // per-range pair lists — into a fixed-size window. When the window fills,
-// per-consumer tasks — contacts and graphs per range, zones, the session ->
+// per-consumer tasks — contacts per range, zones, the session ->
 // trips/flights chain — each run over the whole window as one tight loop,
 // fanned across a thread pool. Windowing exists purely for throughput:
 // switching six consumer hot loops every snapshot thrashes the instruction
-// cache and branch predictors enough to lose to the batch pipeline, while
-// per-window loops match batch's tight per-analysis passes. Tasks own
-// disjoint consumer state and every consumer sees its inputs in time order
-// with a barrier between windows, so results are identical for any thread
-// count, 1 included. Deferring consumption is sound by the stream ordering
-// contract: every gap covering a buffered snapshot was recorded before that
-// snapshot arrived, and later gaps start strictly after it, so gap
-// predicates answer identically at flush time.
+// cache and branch predictors, while per-window loops keep each consumer's
+// loop resident. Graph metrics, the most expensive consumer, are split
+// further: each range's window is cut into contiguous slices (a few per
+// pool thread), every slice accumulates into its own partial GraphStream,
+// and the partials are appended in slice order after the barrier, so
+// sample order is exactly the sequential one. Tasks own disjoint consumer state
+// and every consumer sees its inputs in time order with a barrier between
+// windows, so results are identical for any thread count, 1 included.
+// Deferring consumption is sound by the stream ordering contract: every
+// gap covering a buffered snapshot was recorded before that snapshot
+// arrived, and later gaps start strictly after it, so gap predicates
+// answer identically at flush time.
 //
 // Gap handling is always on: consumers censor against the gaps seen so far
 // (GapTracker), which by the stream ordering contract (trace/stream.hpp)
 // answers exactly as the finished trace's gap list would. On gap-free
-// traces no censor predicate ever fires and the historical batch results
-// are reproduced exactly.
+// traces no censor predicate ever fires.
 #pragma once
 
 #include <cstddef>
@@ -52,27 +54,18 @@
 namespace slmob {
 
 struct StreamingOptions {
-  // Communication radii, as in analyze_trace (defaults: the paper's
-  // Bluetooth and WiFi ranges).
+  // Communication radii (defaults: the paper's Bluetooth and WiFi ranges).
   std::vector<double> ranges{10.0, 80.0};
+  // Zone occupation uses the paper's 20 m cells over a land of this size.
   double land_size{256.0};
-  double zone_cell_size{20.0};
   // Total analysis threads including the caller; 0 = default_concurrency().
   std::size_t threads{0};
-  // IncrementalProximity full-rebuild threshold (fraction of changed
-  // avatars per snapshot).
-  double churn_threshold{0.35};
-  // Covered snapshots buffered between consumer fan-outs (>= 1; throws
-  // std::invalid_argument on 0). Larger windows amortise consumer switching
-  // at the price of `window` retained snapshots; results are identical for
-  // every value.
-  std::size_t window{64};
   // Drop (0,0,0) fixes per snapshot — equals Trace::strip_sitting_fixes on
   // the whole trace, making results comparable to run_experiment (which
-  // strips before analyzing). The CLI batch path does not strip.
+  // strips before analyzing). `slmob analyze` does not strip.
   bool strip_sitting_fixes{false};
-  // Optional heavier analyses, off by default (batch analyze_trace does not
-  // compute them either).
+  // Optional heavier analyses, off by default (analyze_trace does not
+  // compute them).
   bool flights{false};
   bool relations{false};
   // Contact range feeding the relation graph; must be one of `ranges`.
@@ -112,8 +105,8 @@ class StreamingAnalyzer final : public LiveTraceSink {
   void on_gap(Seconds start, Seconds end) override;
   // Rate-change events from the overload ladder: snapshots arriving while a
   // degradation window is open carry integer weight = factor into every
-  // time-weighted consumer (currently zones), matching the batch pipeline's
-  // Trace::degradation_factor_at correction.
+  // time-weighted consumer (currently zones) — the stream form of
+  // Trace::degradation_factor_at.
   void on_rate_change(Seconds time, std::uint32_t factor) override;
 
   // Finalises every consumer and assembles the report. Call once, after the
@@ -125,6 +118,15 @@ class StreamingAnalyzer final : public LiveTraceSink {
 
  private:
   struct RangeConsumers;  // per-range contact + graph streams
+
+  // Covered snapshots buffered between consumer fan-outs. Larger windows
+  // amortise consumer switching at the price of retained snapshots; results
+  // are identical for every value.
+  static constexpr std::size_t kWindow = 64;
+  // Graph slices per pool thread and window. Several per thread let the
+  // pool balance slices around the long contact tasks; results are
+  // identical for every value.
+  static constexpr std::size_t kGraphSlicesPerThread = 4;
 
   // One covered snapshot held for deferred consumption: the (possibly
   // stripped) snapshot itself plus the proximity answer computed for it.

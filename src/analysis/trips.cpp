@@ -4,19 +4,6 @@
 
 namespace slmob {
 
-TripAnalysis analyze_trips(const Trace& trace, const SessionExtractionOptions& options) {
-  TripAnalysis out;
-  const auto sessions = extract_sessions(trace, options);
-  out.sessions = sessions.size();
-  for (const auto& session : sessions) {
-    const TripMetrics m = trip_metrics(session, options.movement_epsilon);
-    out.travel_lengths.add(m.travel_length);
-    out.effective_travel_times.add(m.effective_travel_time);
-    out.travel_times.add(m.travel_time);
-  }
-  return out;
-}
-
 void TripStream::on_session(const Session& session) {
   entries_.push_back(
       {session.avatar, session.login, trip_metrics(session, movement_epsilon_)});

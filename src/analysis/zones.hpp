@@ -28,23 +28,12 @@ struct ZoneAnalysis {
   std::vector<double> mean_per_cell;
 };
 
-class ProximityCache;
-
-ZoneAnalysis analyze_zones(const Trace& trace, double land_size = 256.0,
-                           double cell_size = 20.0);
-
-// Same, but reads per-snapshot position arrays from the shared cache instead
-// of walking each snapshot's fixes again. `cache` must cover `trace`.
-ZoneAnalysis analyze_zones(const Trace& trace, const ProximityCache& cache,
-                           double land_size = 256.0, double cell_size = 20.0);
-
-// Incremental zone occupation over a snapshot stream: feed the position
-// array (fix order) of every covered snapshot — empty snapshots included,
-// they contribute all-zero cell samples exactly as in batch. Bit-identical
-// to analyze_zones, including Ecdf sample insertion order.
+// Zone occupation over a snapshot stream: feed the position array (fix
+// order) of every covered snapshot — empty snapshots included, they
+// contribute all-zero cell samples.
 class ZoneStream {
  public:
-  // Throws std::invalid_argument on non-positive sizes (as analyze_zones).
+  // Throws std::invalid_argument on non-positive sizes.
   explicit ZoneStream(double land_size = 256.0, double cell_size = 20.0);
 
   // `weight` is the snapshot's rate-correction factor (the degradation

@@ -1,9 +1,9 @@
 #include "core/experiment.hpp"
 
-#include <functional>
 #include <stdexcept>
+#include <utility>
 
-#include "analysis/proximity_cache.hpp"
+#include "analysis/streaming.hpp"
 
 namespace slmob {
 
@@ -52,34 +52,21 @@ ExperimentResults run_experiment(const ExperimentConfig& config) {
 
 ExperimentResults analyze_trace(Trace trace, const std::vector<double>& ranges,
                                 double land_size, std::size_t threads) {
+  StreamingOptions options;
+  options.ranges = ranges;
+  options.land_size = land_size;
+  options.threads = threads;
+  StreamingAnalyzer analyzer(options);
+  MemoryTraceStream stream(trace);
+  drive_stream(stream, analyzer);
+  AnalysisReport report = analyzer.finish();
+
   ExperimentResults results;
-  results.summary = trace.summary();
-
-  ThreadPool pool(threads);
-  const ProximityCache cache(trace, ranges, &pool);
-
-  // Each task owns one disjoint slot of `results`; map nodes are created
-  // up front so workers never mutate the maps themselves (std::map never
-  // invalidates mapped references).
-  std::vector<std::function<void()>> tasks;
-  // cache.ranges() is deduplicated, so no two tasks share a map slot.
-  for (const double r : cache.ranges()) {
-    ContactAnalysis& contacts = results.contacts[r];
-    tasks.emplace_back([&trace, &cache, &contacts, r] {
-      contacts = analyze_contacts(trace, cache, r);
-    });
-    GraphMetrics& graphs = results.graphs[r];
-    tasks.emplace_back([&trace, &cache, &graphs, r, &pool] {
-      graphs = analyze_graphs(trace, cache, r, 1, &pool);
-    });
-  }
-  tasks.emplace_back([&trace, &cache, &results, land_size] {
-    results.zones = analyze_zones(trace, cache, land_size);
-  });
-  tasks.emplace_back([&trace, &results] { results.trips = analyze_trips(trace); });
-
-  parallel_for(pool, tasks.size(), [&](std::size_t i) { tasks[i](); });
-
+  results.summary = report.summary;
+  results.contacts = std::move(report.contacts);
+  results.graphs = std::move(report.graphs);
+  results.zones = std::move(report.zones);
+  results.trips = std::move(report.trips);
   results.trace = std::move(trace);
   return results;
 }

@@ -76,20 +76,18 @@ ExperimentResults run_experiment(const ExperimentConfig& config);
 
 // Runs only the analyses on an existing trace (e.g. loaded from disk).
 //
-// Builds one ProximityCache over the trace (one SpatialGrid per snapshot at
-// the largest range, smaller radii derived by distance filtering) and fans
-// the independent analyses — contacts and graphs per range, zones, trips —
-// plus per-snapshot graph chunks across a thread pool of `threads` total
-// threads (0 = SLMOB_THREADS env var, else hardware_concurrency()). Output
-// is bit-identical for every thread count.
+// Streams the trace through a StreamingAnalyzer (analysis/streaming.hpp)
+// over a MemoryTraceStream — the same engine `slmob analyze` and a live
+// crawler use — on `threads` total threads (0 = SLMOB_THREADS env var, else
+// hardware_concurrency()). Output is bit-identical for every thread count.
+// The trace is moved into the result afterwards.
 ExperimentResults analyze_trace(Trace trace, const std::vector<double>& ranges,
                                 double land_size = kDefaultLandSize,
                                 std::size_t threads = 0);
 
-// The analysis slice of `results` in the report form shared with the
-// streaming pipeline (analysis/streaming.hpp), enabling direct
-// analysis_diff / analysis_equal comparison. Flights and relations stay
-// empty — the batch experiment does not compute them.
+// The analysis slice of `results` as an AnalysisReport, enabling direct
+// analysis_diff / analysis_equal comparison with any other report. Flights
+// and relations stay empty — the experiment does not compute them.
 AnalysisReport to_analysis_report(const ExperimentResults& results);
 
 }  // namespace slmob

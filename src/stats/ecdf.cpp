@@ -46,6 +46,11 @@ void Ecdf::merge(const Ecdf& other) {
   sorted_ = false;
 }
 
+void Ecdf::clear() {
+  samples_.clear();
+  sorted_ = true;
+}
+
 void Ecdf::reserve(std::size_t n) { samples_.reserve(n); }
 
 void Ecdf::ensure_sorted() const {

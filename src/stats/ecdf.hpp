@@ -59,6 +59,7 @@ class SampleBuf {
   void reserve(std::size_t n) {
     if (n > cap_) grow(n);
   }
+  void clear() { size_ = 0; }
 
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
@@ -91,6 +92,9 @@ class Ecdf {
   // order. Used to merge per-chunk partial results of a parallel analysis
   // back into snapshot order.
   void merge(const Ecdf& other);
+  // Drops every sample but keeps the buffer's capacity, so a partial
+  // distribution can be refilled without allocating.
+  void clear();
   // Re-sorts after a batch of add() calls; called lazily by accessors.
   [[nodiscard]] std::size_t size() const { return samples_.size(); }
   [[nodiscard]] bool empty() const { return samples_.empty(); }

@@ -1,6 +1,6 @@
 // Streaming trace access: event-at-a-time readers and live sinks.
 //
-// Batch analysis loads a whole Trace into RAM; a TraceStream instead yields
+// A Trace holds a whole capture in RAM; a TraceStream instead yields
 // snapshots, coverage gaps and session events one at a time from a .slt
 // file, a .sltj journal or an in-memory trace, so a single forward pass can
 // analyze traces of any length with memory bounded by *concurrent* users
@@ -15,7 +15,7 @@
 // t is emitted before any snapshot with time >= t. A consumer that applies
 // each change as it arrives therefore knows the exact factor in force for
 // every snapshot it processes, and reconstructs the same closed windows the
-// batch Trace carries (every stream closes its last window — with a change
+// finished Trace carries (every stream closes its last window — with a change
 // back to factor 1 — before kEnd).
 //
 // With that contract, censoring decisions made from the gaps seen so far
@@ -24,7 +24,8 @@
 // contain t or start before t is already known, and gaps still unseen start
 // strictly after t, so covered_at / spans_gap / next_gap_start answer
 // exactly as they would on the finished Trace. That equivalence is what
-// makes streaming analysis bit-identical to the batch pipeline.
+// makes analysing a file, a live capture or an in-memory trace give the
+// same report.
 #pragma once
 
 #include <cstdio>

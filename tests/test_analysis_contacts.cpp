@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include "core/experiment.hpp"
+
 namespace slmob {
 namespace {
+
+// Contact extraction of a whole trace through the analysis pipeline.
+ContactAnalysis contacts_of(const Trace& trace, double range) {
+  return analyze_trace(Trace(trace), {range}, kDefaultLandSize, 1).contacts.at(range);
+}
 
 // Builds a trace where avatar positions are given per snapshot; absent
 // entries mean the avatar is offline.
@@ -25,7 +32,7 @@ TEST(Contacts, SingleSnapshotContactGetsTauDuration) {
   TraceBuilder b;
   b.snap({{1, 0.0}, {2, 5.0}});   // in range at r=10
   b.snap({{1, 0.0}, {2, 50.0}});  // out of range
-  const auto analysis = analyze_contacts(b.trace, 10.0);
+  const auto analysis = contacts_of(b.trace, 10.0);
   ASSERT_EQ(analysis.intervals.size(), 1u);
   EXPECT_DOUBLE_EQ(analysis.intervals[0].duration(), 10.0);
   EXPECT_DOUBLE_EQ(analysis.contact_times.median(), 10.0);
@@ -35,7 +42,7 @@ TEST(Contacts, MultiSnapshotContactDuration) {
   TraceBuilder b;
   for (int i = 0; i < 5; ++i) b.snap({{1, 0.0}, {2, 5.0}});  // 5 snapshots together
   b.snap({{1, 0.0}, {2, 100.0}});
-  const auto analysis = analyze_contacts(b.trace, 10.0);
+  const auto analysis = contacts_of(b.trace, 10.0);
   ASSERT_EQ(analysis.intervals.size(), 1u);
   // Seen together t=0..40; credited 40 + tau = 50.
   EXPECT_DOUBLE_EQ(analysis.intervals[0].duration(), 50.0);
@@ -45,7 +52,7 @@ TEST(Contacts, ContactOpenAtTraceEndIsClosed) {
   TraceBuilder b;
   b.snap({{1, 0.0}, {2, 5.0}});
   b.snap({{1, 0.0}, {2, 5.0}});
-  const auto analysis = analyze_contacts(b.trace, 10.0);
+  const auto analysis = contacts_of(b.trace, 10.0);
   ASSERT_EQ(analysis.intervals.size(), 1u);
   EXPECT_DOUBLE_EQ(analysis.intervals[0].start, 0.0);
   EXPECT_DOUBLE_EQ(analysis.intervals[0].end, 20.0);
@@ -57,7 +64,7 @@ TEST(Contacts, InterContactTime) {
   b.snap({{1, 0.0}, {2, 100.0}});  // apart
   b.snap({{1, 0.0}, {2, 100.0}});  // apart
   b.snap({{1, 0.0}, {2, 5.0}});    // contact 2 starts t=30
-  const auto analysis = analyze_contacts(b.trace, 10.0);
+  const auto analysis = contacts_of(b.trace, 10.0);
   ASSERT_EQ(analysis.inter_contact_times.size(), 1u);
   // ICT = start2 - end1 = 30 - 10 = 20.
   EXPECT_DOUBLE_EQ(analysis.inter_contact_times.median(), 20.0);
@@ -68,7 +75,7 @@ TEST(Contacts, AvatarLogoutClosesContact) {
   b.snap({{1, 0.0}, {2, 5.0}});
   b.snap({{1, 0.0}});  // avatar 2 gone
   b.snap({{1, 0.0}, {2, 5.0}});
-  const auto analysis = analyze_contacts(b.trace, 10.0);
+  const auto analysis = contacts_of(b.trace, 10.0);
   EXPECT_EQ(analysis.intervals.size(), 2u);
   EXPECT_EQ(analysis.inter_contact_times.size(), 1u);
 }
@@ -78,7 +85,7 @@ TEST(Contacts, FirstContactTimes) {
   b.snap({{1, 0.0}, {2, 100.0}});  // both appear, no contact
   b.snap({{1, 0.0}, {2, 100.0}});
   b.snap({{1, 0.0}, {2, 5.0}});    // first contact at t=20
-  const auto analysis = analyze_contacts(b.trace, 10.0);
+  const auto analysis = contacts_of(b.trace, 10.0);
   ASSERT_EQ(analysis.first_contact_times.size(), 2u);
   EXPECT_DOUBLE_EQ(analysis.first_contact_times.median(), 20.0);
   EXPECT_EQ(analysis.users_seen, 2u);
@@ -88,7 +95,7 @@ TEST(Contacts, FirstContactTimes) {
 TEST(Contacts, ImmediateContactGetsHalfTau) {
   TraceBuilder b;
   b.snap({{1, 0.0}, {2, 5.0}});  // in contact at first sighting
-  const auto analysis = analyze_contacts(b.trace, 10.0);
+  const auto analysis = contacts_of(b.trace, 10.0);
   ASSERT_EQ(analysis.first_contact_times.size(), 2u);
   EXPECT_DOUBLE_EQ(analysis.first_contact_times.median(), 5.0);
 }
@@ -97,7 +104,7 @@ TEST(Contacts, UsersWithoutContactAreCensored) {
   TraceBuilder b;
   b.snap({{1, 0.0}, {2, 100.0}, {3, 200.0}});
   b.snap({{1, 0.0}, {2, 3.0}, {3, 200.0}});
-  const auto analysis = analyze_contacts(b.trace, 10.0);
+  const auto analysis = contacts_of(b.trace, 10.0);
   EXPECT_EQ(analysis.users_seen, 3u);
   EXPECT_EQ(analysis.users_with_contact, 2u);
   EXPECT_EQ(analysis.first_contact_times.size(), 2u);
@@ -107,14 +114,14 @@ TEST(Contacts, RangeMatters) {
   TraceBuilder b;
   b.snap({{1, 0.0}, {2, 50.0}});
   b.snap({{1, 0.0}, {2, 50.0}});
-  EXPECT_EQ(analyze_contacts(b.trace, 10.0).intervals.size(), 0u);
-  EXPECT_EQ(analyze_contacts(b.trace, 80.0).intervals.size(), 1u);
+  EXPECT_EQ(contacts_of(b.trace, 10.0).intervals.size(), 0u);
+  EXPECT_EQ(contacts_of(b.trace, 80.0).intervals.size(), 1u);
 }
 
 TEST(Contacts, ThreeUsersPairwiseContacts) {
   TraceBuilder b;
   b.snap({{1, 0.0}, {2, 5.0}, {3, 8.0}});
-  const auto analysis = analyze_contacts(b.trace, 10.0);
+  const auto analysis = contacts_of(b.trace, 10.0);
   // Pairs (1,2), (2,3), (1,3) all within 10.
   EXPECT_EQ(analysis.intervals.size(), 3u);
 }
@@ -124,7 +131,7 @@ TEST(Contacts, IntervalsSortedByStart) {
   b.snap({{1, 0.0}, {2, 5.0}, {3, 100.0}});
   b.snap({{1, 0.0}, {2, 50.0}, {3, 4.0}});
   b.snap({{1, 0.0}, {2, 50.0}, {3, 4.0}});
-  const auto analysis = analyze_contacts(b.trace, 10.0);
+  const auto analysis = contacts_of(b.trace, 10.0);
   for (std::size_t i = 1; i < analysis.intervals.size(); ++i) {
     EXPECT_LE(analysis.intervals[i - 1].start, analysis.intervals[i].start);
   }
@@ -132,7 +139,7 @@ TEST(Contacts, IntervalsSortedByStart) {
 
 TEST(Contacts, EmptyTrace) {
   const Trace t("x", 10.0);
-  const auto analysis = analyze_contacts(t, 10.0);
+  const auto analysis = contacts_of(t, 10.0);
   EXPECT_TRUE(analysis.intervals.empty());
   EXPECT_EQ(analysis.users_seen, 0u);
 }
@@ -140,7 +147,7 @@ TEST(Contacts, EmptyTrace) {
 TEST(Contacts, PairKeyCanonicalOrder) {
   TraceBuilder b;
   b.snap({{7, 0.0}, {3, 5.0}});
-  const auto analysis = analyze_contacts(b.trace, 10.0);
+  const auto analysis = contacts_of(b.trace, 10.0);
   ASSERT_EQ(analysis.intervals.size(), 1u);
   EXPECT_LT(analysis.intervals[0].a.value, analysis.intervals[0].b.value);
 }
@@ -154,7 +161,7 @@ TEST(ContactsCensoring, ContactTruncatedAtGapStartNeverBridged) {
   b.now = 60.0;
   b.snap({{1, 0.0}, {2, 5.0}});  // t=60, still in contact after the gap
   b.snap({{1, 0.0}, {2, 5.0}});  // t=70
-  const auto analysis = analyze_contacts(b.trace, 10.0);
+  const auto analysis = contacts_of(b.trace, 10.0);
   // One contact per covered segment, not one bridged contact.
   ASSERT_EQ(analysis.intervals.size(), 2u);
   EXPECT_DOUBLE_EQ(analysis.intervals[0].start, 0.0);
@@ -175,7 +182,7 @@ TEST(ContactsCensoring, InterContactChainCutAtGap) {
   b.snap({{1, 0.0}, {2, 100.0}});  // apart at t=50 (contact ends t=50)
   b.snap({{1, 0.0}, {2, 100.0}});  // t=60
   b.snap({{1, 0.0}, {2, 5.0}});    // t=70: same-segment ICT = 70 - 50 = 20
-  const auto analysis = analyze_contacts(b.trace, 10.0);
+  const auto analysis = contacts_of(b.trace, 10.0);
   ASSERT_EQ(analysis.inter_contact_times.size(), 1u);
   EXPECT_DOUBLE_EQ(analysis.inter_contact_times.median(), 20.0);
 }
@@ -187,7 +194,7 @@ TEST(ContactsCensoring, FirstContactClockRestartsAfterGap) {
   b.trace.add_gap(20.0, 50.0);
   b.now = 50.0;
   b.snap({{1, 0.0}, {2, 5.0}});  // first contact right after the gap
-  const auto analysis = analyze_contacts(b.trace, 10.0);
+  const auto analysis = contacts_of(b.trace, 10.0);
   ASSERT_EQ(analysis.first_contact_times.size(), 2u);
   // The pre-gap wait is censored: both users restart observation at t=50 and
   // are in contact immediately, so FT is the half-tau credit, not 50 s.
@@ -202,7 +209,7 @@ TEST(ContactsCensoring, UncoveredSnapshotsAreIgnored) {
   b.trace.add_gap(5.0, 15.0);
   b.now = 20.0;
   b.snap({{1, 0.0}, {2, 5.0}});  // t=20
-  const auto analysis = analyze_contacts(b.trace, 10.0);
+  const auto analysis = contacts_of(b.trace, 10.0);
   EXPECT_EQ(analysis.users_seen, 2u);  // avatars 3 and 4 were never observed
   for (const auto& interval : analysis.intervals) {
     EXPECT_LE(interval.b.value, 2u);

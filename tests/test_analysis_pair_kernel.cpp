@@ -251,8 +251,8 @@ TEST(PairKernel, IncrementalDuplicateIdSnapshotMatchesBruteForce) {
 }
 
 TEST(PairKernel, ParallelWorkersProduceIdenticalHits) {
-  // Many kernels running concurrently (the ProximityCache thread_local
-  // pattern) must neither race nor diverge — exercised under TSan in CI.
+  // Many kernels running concurrently (one per worker thread) must neither
+  // race nor diverge — exercised under TSan in CI.
   Rng rng(17);
   std::vector<std::vector<Vec3>> snaps;
   for (int s = 0; s < 32; ++s) {

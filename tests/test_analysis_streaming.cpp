@@ -1,17 +1,19 @@
-// Streaming <-> batch equivalence: StreamingAnalyzer must reproduce the
-// batch pipeline's AnalysisReport bit for bit — every Ecdf sample, interval
-// and scalar — on gap-free and gapped traces, on every land archetype, under
-// fault scenarios, on a salvaged torn journal, and at any thread count.
-// Failures print analysis_diff, which names the first differing field.
+// StreamingAnalyzer against pinned goldens and across routes: its
+// AnalysisReport must equal the fingerprints pinned from the original batch
+// pipeline — every Ecdf sample, interval and scalar — on gap-free and gapped
+// traces, on every land archetype and under fault scenarios, at 1 to 4
+// analysis threads (3 cuts the window into uneven slices). Every route into
+// the engine — analyze_trace, .slt and .sltj files, a salvaged torn
+// journal, the crawler's live feed — must agree. Failures print
+// analysis_diff, which names the first differing field.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
+#include <initializer_list>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "analysis/streaming.hpp"
@@ -51,7 +53,8 @@ Trace seeded_trace(std::uint64_t seed, std::size_t snapshots, std::size_t users)
   return t;
 }
 
-AnalysisReport batch_report(const Trace& trace, std::size_t threads = 1) {
+// The analyze_trace route (an in-memory trace, as run_experiment uses).
+AnalysisReport trace_report(const Trace& trace, std::size_t threads = 1) {
   return to_analysis_report(
       analyze_trace(Trace(trace), {kBluetoothRange, kWifiRange}, kDefaultLandSize, threads));
 }
@@ -61,44 +64,81 @@ AnalysisReport stream_report(const Trace& trace, StreamingOptions options = {}) 
   return analyze_stream(stream, options);
 }
 
-void expect_equivalent(const AnalysisReport& batch, const AnalysisReport& streamed) {
-  const std::string diff = analysis_diff(batch, streamed);
+void expect_equivalent(const AnalysisReport& want, const AnalysisReport& got) {
+  const std::string diff = analysis_diff(want, got);
   EXPECT_TRUE(diff.empty()) << diff;
-  EXPECT_EQ(analysis_fingerprint(batch), analysis_fingerprint(streamed));
+  EXPECT_EQ(analysis_fingerprint(want), analysis_fingerprint(got));
+}
+
+// Fingerprints pinned from the original batch pipeline (analyze_trace over
+// a whole-trace proximity cache) at ranges {10, 80} m.
+constexpr std::uint32_t kGapFree99 = 0x0cac47a0u;   // seeded_trace(99, 120, 60)
+constexpr std::uint32_t kGapped7 = 0xdabf1153u;     // seeded_trace(7, 150, 50) + 2 gaps
+constexpr std::uint32_t kGapped13 = 0xf3faab28u;    // seeded_trace(13, 80, 40) + 1 gap
+constexpr std::uint32_t kStripped21 = 0xa8a7b066u;  // seeded_trace(21, 60, 30)
+
+void expect_pinned(const AnalysisReport& report, std::uint32_t want) {
+  EXPECT_EQ(analysis_fingerprint(report), want)
+      << std::hex << "fingerprint 0x" << analysis_fingerprint(report) << " != pinned 0x"
+      << want;
+}
+
+// Streams `trace` at `threads` and checks the report against the pinned
+// fingerprint and, field by field, against the 1-thread report.
+void expect_pinned_at(const Trace& trace, std::uint32_t want,
+                      std::initializer_list<std::size_t> thread_counts) {
+  StreamingOptions single;
+  single.threads = 1;
+  const AnalysisReport one = stream_report(trace, single);
+  expect_pinned(one, want);
+  for (const std::size_t threads : thread_counts) {
+    StreamingOptions opt;
+    opt.threads = threads;
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    const AnalysisReport report = stream_report(trace, opt);
+    expect_equivalent(one, report);
+    expect_pinned(report, want);
+  }
 }
 
 TEST(StreamingEquivalence, GapFreeTraceAt1And2And4Threads) {
   const Trace trace = seeded_trace(99, 120, 60);
-  const AnalysisReport batch = batch_report(trace);
-  ASSERT_FALSE(batch.contacts.at(kBluetoothRange).contact_times.empty());
-  for (const std::size_t threads : {1u, 2u, 4u}) {
-    StreamingOptions opt;
-    opt.threads = threads;
-    expect_equivalent(batch, stream_report(trace, opt));
-  }
+  ASSERT_FALSE(trace_report(trace).contacts.at(kBluetoothRange).contact_times.empty());
+  expect_pinned_at(trace, kGapFree99, {1u, 2u, 4u});
 }
 
 TEST(StreamingEquivalence, GappedTraceAt1And2And4Threads) {
   Trace trace = seeded_trace(7, 150, 50);
   trace.add_gap(295.0, 355.0);
   trace.add_gap(820.0, 900.0);
-  const AnalysisReport batch = batch_report(trace);
-  for (const std::size_t threads : {1u, 2u, 4u}) {
-    StreamingOptions opt;
-    opt.threads = threads;
-    expect_equivalent(batch, stream_report(trace, opt));
-  }
+  expect_pinned_at(trace, kGapped7, {1u, 2u, 4u});
+}
+
+TEST(StreamingEquivalence, UnevenWindowSlicesAt3Threads) {
+  // 3 threads cut each 64-snapshot window into 12 graph slices of 5 or 6
+  // snapshots, and the partial last windows (56 and 22 covered snapshots)
+  // into other uneven slices.
+  expect_pinned_at(seeded_trace(99, 120, 60), kGapFree99, {3u});
+  Trace gapped = seeded_trace(7, 150, 50);
+  gapped.add_gap(295.0, 355.0);
+  gapped.add_gap(820.0, 900.0);
+  expect_pinned_at(gapped, kGapped7, {3u});
 }
 
 TEST(StreamingEquivalence, BatchThreadCountDoesNotMatterEither) {
+  // analyze_trace's thread count is the engine's: any value gives the
+  // pinned report.
   Trace trace = seeded_trace(13, 80, 40);
   trace.add_gap(205.0, 245.0);
-  expect_equivalent(batch_report(trace, 4), stream_report(trace));
+  for (const std::size_t threads : {1u, 2u, 3u, 4u}) {
+    expect_pinned(trace_report(trace, threads), kGapped13);
+  }
+  expect_equivalent(trace_report(trace, 4), stream_report(trace));
 }
 
 TEST(StreamingEquivalence, StripSittingFixesMatchesWholeTraceStrip) {
   // A trace with origin fixes: streaming's per-snapshot strip must equal
-  // Trace::strip_sitting_fixes on the whole trace before batch analysis.
+  // Trace::strip_sitting_fixes on the whole trace before analyze_trace.
   Trace trace = seeded_trace(21, 60, 30);
   Trace polluted(trace.land_name(), trace.sampling_interval());
   for (const auto& snap : trace.snapshots()) {
@@ -110,62 +150,52 @@ TEST(StreamingEquivalence, StripSittingFixesMatchesWholeTraceStrip) {
   stripped.strip_sitting_fixes();
   StreamingOptions opt;
   opt.strip_sitting_fixes = true;
-  expect_equivalent(batch_report(stripped), stream_report(polluted, opt));
+  const AnalysisReport streamed = stream_report(polluted, opt);
+  expect_equivalent(trace_report(stripped), streamed);
+  expect_pinned(streamed, kStripped21);
 }
 
-// One run_experiment per land / scenario, shared across tests.
-struct GoldenRun {
-  ExperimentResults results;
-};
-
-const GoldenRun& golden_run(LandArchetype archetype, const std::string& scenario) {
-  static std::map<std::pair<int, std::string>, GoldenRun> cache;
-  auto key = std::make_pair(static_cast<int>(archetype), scenario);
-  auto it = cache.find(key);
-  if (it == cache.end()) {
-    ExperimentConfig cfg;
-    cfg.archetype = archetype;
-    cfg.duration = 2.0 * kSecondsPerHour;
-    cfg.seed = 42;
-    cfg.fault_scenario = scenario;
-    it = cache.emplace(key, GoldenRun{run_experiment(cfg)}).first;
+// run_experiment of a 2 h, seed-42 Isle of View / Dance / Apfel run. Its
+// report and the streamed report of its (stripped) trace must match the
+// fingerprint pinned from the original batch pipeline at every thread count.
+void expect_land_golden(LandArchetype archetype, const std::string& scenario,
+                        std::uint32_t want) {
+  ExperimentConfig cfg;
+  cfg.archetype = archetype;
+  cfg.duration = 2.0 * kSecondsPerHour;
+  cfg.seed = 42;
+  cfg.fault_scenario = scenario;
+  const ExperimentResults results = run_experiment(cfg);
+  if (scenario == "chaos") {
+    // Chaos must actually have censored something for this to test gap paths.
+    EXPECT_FALSE(results.trace.gaps().empty());
   }
-  return it->second;
-}
-
-void expect_land_equivalence(LandArchetype archetype, const std::string& scenario) {
-  const auto& run = golden_run(archetype, scenario);
-  // run_experiment analyzed the stripped trace; results.trace IS that
-  // stripped trace, so streaming it without re-stripping must match.
-  const AnalysisReport batch = to_analysis_report(run.results);
-  for (const std::size_t threads : {1u, 2u}) {
-    StreamingOptions opt;
-    opt.threads = threads;
-    expect_equivalent(batch, stream_report(run.results.trace, opt));
-  }
+  expect_pinned(to_analysis_report(results), want);
+  // results.trace is the stripped trace run_experiment analysed, so
+  // streaming it without re-stripping must match.
+  expect_pinned_at(results.trace, want, {2u, 3u, 4u});
 }
 
 TEST(StreamingGolden, IsleOfView) {
-  expect_land_equivalence(LandArchetype::kIsleOfView, "none");
+  expect_land_golden(LandArchetype::kIsleOfView, "none", 0x46b7ae5eu);
 }
 
 TEST(StreamingGolden, DanceIsland) {
-  expect_land_equivalence(LandArchetype::kDanceIsland, "none");
+  expect_land_golden(LandArchetype::kDanceIsland, "none", 0x8fff07ccu);
 }
 
 TEST(StreamingGolden, ApfelLand) {
-  expect_land_equivalence(LandArchetype::kApfelLand, "none");
+  expect_land_golden(LandArchetype::kApfelLand, "none", 0xf5216e58u);
 }
 
 TEST(StreamingGolden, ChaosScenario) {
-  const auto& run = golden_run(LandArchetype::kIsleOfView, "chaos");
-  // Chaos must actually have censored something for this to test gap paths.
-  EXPECT_FALSE(run.results.trace.gaps().empty());
-  expect_land_equivalence(LandArchetype::kIsleOfView, "chaos");
+  expect_land_golden(LandArchetype::kIsleOfView, "chaos", 0x84656560u);
 }
 
 TEST(StreamingGolden, CollectorCrashScenario) {
-  expect_land_equivalence(LandArchetype::kIsleOfView, "collector-crash");
+  // A collector crash only touches the sensor path: the crawler's analysis
+  // equals the fault-free one.
+  expect_land_golden(LandArchetype::kIsleOfView, "collector-crash", 0x46b7ae5eu);
 }
 
 TEST(StreamingEquivalence, SalvagedTornJournal) {
@@ -201,7 +231,7 @@ TEST(StreamingEquivalence, SalvagedTornJournal) {
 
   StreamingProgress progress;
   const AnalysisReport streamed = analyze_stream_file(path, {}, &progress);
-  expect_equivalent(batch_report(salvage.trace), streamed);
+  expect_equivalent(trace_report(salvage.trace), streamed);
   EXPECT_EQ(progress.snapshots, salvage.trace.snapshots().size());
   std::remove(path.c_str());
 }
@@ -211,9 +241,9 @@ TEST(StreamingEquivalence, SltFileMatchesInMemory) {
   trace.add_gap(125.0, 165.0);
   const std::string path = ::testing::TempDir() + "streaming_file.slt";
   save_trace(trace, path);
-  // Batch loads the same file: .slt stores f32 positions, so equivalence is
-  // against the loaded trace, not the pre-save doubles.
-  expect_equivalent(batch_report(load_trace(path)), analyze_stream_file(path));
+  // The in-memory route loads the same file: .slt stores f32 positions, so
+  // equivalence is against the loaded trace, not the pre-save doubles.
+  expect_equivalent(trace_report(load_trace(path)), analyze_stream_file(path));
   std::remove(path.c_str());
 }
 
@@ -224,9 +254,9 @@ TEST(StreamingEquivalence, FlightsMatchAnalyzeFlights) {
   const AnalysisReport streamed = stream_report(trace, opt);
   ASSERT_TRUE(streamed.flights.has_value());
 
-  AnalysisReport batch = batch_report(trace);
-  batch.flights = analyze_flights(trace, opt.flight_options);
-  expect_equivalent(batch, streamed);
+  AnalysisReport expected = trace_report(trace);
+  expected.flights = analyze_flights(trace, opt.flight_options);
+  expect_equivalent(expected, streamed);
   EXPECT_GT(streamed.flights->sessions_analyzed, 0u);
 }
 
@@ -237,17 +267,17 @@ TEST(StreamingEquivalence, RelationsMatchRelationGraph) {
   const AnalysisReport streamed = stream_report(trace, opt);
   ASSERT_TRUE(streamed.relations.has_value());
 
-  AnalysisReport batch = batch_report(trace);
-  const RelationGraph graph(batch.contacts.at(opt.relation_range).intervals,
+  AnalysisReport expected = trace_report(trace);
+  const RelationGraph graph(expected.contacts.at(opt.relation_range).intervals,
                             opt.relation_options);
-  batch.relations = summarize_relations(graph);
-  expect_equivalent(batch, streamed);
+  expected.relations = summarize_relations(graph);
+  expect_equivalent(expected, streamed);
   EXPECT_GT(streamed.relations->relations.size(), 0u);
 }
 
 TEST(StreamingEquivalence, CrawlerLiveSinkMatchesBatchOnTakenTrace) {
   // The crawler feeds an attached analyzer the same events it records; at
-  // take_trace time the live report must equal batch analysis of the taken
+  // take_trace time the live report must equal analyze_trace of the taken
   // trace (strip enabled on both sides, as run_experiment does).
   TestbedConfig cfg;
   cfg.archetype = LandArchetype::kApfelLand;
@@ -263,9 +293,9 @@ TEST(StreamingEquivalence, CrawlerLiveSinkMatchesBatchOnTakenTrace) {
 
   Trace trace = bed.crawler()->take_trace();
   trace.strip_sitting_fixes();
-  const AnalysisReport batch = batch_report(trace);
+  const AnalysisReport taken = trace_report(trace);
   const AnalysisReport streamed = live.finish();
-  const std::string diff = analysis_diff(batch, streamed);
+  const std::string diff = analysis_diff(taken, streamed);
   EXPECT_TRUE(diff.empty()) << diff;
   EXPECT_GT(streamed.summary.snapshot_count, 0u);
 }
@@ -336,7 +366,7 @@ TEST(StreamingAnalyzer, UsageErrors) {
 
 TEST(AnalysisReportDiff, NamesTheFirstDifferingField) {
   const Trace trace = seeded_trace(5, 20, 15);
-  const AnalysisReport a = batch_report(trace);
+  const AnalysisReport a = trace_report(trace);
   AnalysisReport b = a;
   EXPECT_TRUE(analysis_equal(a, b));
   b.summary.snapshot_count += 1;

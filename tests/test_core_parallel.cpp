@@ -1,6 +1,7 @@
 // Determinism of the parallel analysis pipeline: analyze_trace must produce
 // bit-identical results (ECDF sample sequences, interval lists, zone and trip
-// statistics) for any thread count.
+// statistics) for any thread count, equal to fingerprints pinned from the
+// original batch pipeline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -83,6 +84,15 @@ void expect_same_results(const ExperimentResults& a, const ExperimentResults& b)
   ASSERT_EQ(a.trips.sessions, b.trips.sessions);
 }
 
+// Pinned from the original batch pipeline at ranges {10, 80} m.
+constexpr std::uint32_t kTrace99 = 0x0cac47a0u;   // seeded_trace(99, 120, 60)
+constexpr std::uint32_t kTrace7 = 0x59a0bbfbu;    // seeded_trace(7, 60, 40)
+constexpr std::uint32_t kApfel17 = 0x63eaf796u;   // Apfelland, 0.5 h, seed 17
+
+std::uint32_t fingerprint(const ExperimentResults& res) {
+  return analysis_fingerprint(to_analysis_report(res));
+}
+
 TEST(ParallelAnalysis, IdenticalResultsFor1And2And8Threads) {
   const Trace trace = seeded_trace(99, 120, 60);
   const auto run = [&](std::size_t threads) {
@@ -94,6 +104,17 @@ TEST(ParallelAnalysis, IdenticalResultsFor1And2And8Threads) {
   ASSERT_FALSE(one.graphs.at(kWifiRange).degrees.empty());
   expect_same_results(one, run(2));
   expect_same_results(one, run(8));
+  EXPECT_EQ(fingerprint(one), kTrace99);
+}
+
+TEST(ParallelAnalysis, PinnedFingerprintAt1To4Threads) {
+  const Trace trace = seeded_trace(99, 120, 60);
+  for (const std::size_t threads : {1u, 2u, 3u, 4u}) {
+    EXPECT_EQ(fingerprint(analyze_trace(trace, {kBluetoothRange, kWifiRange},
+                                        kDefaultLandSize, threads)),
+              kTrace99)
+        << threads << " threads";
+  }
 }
 
 TEST(ParallelAnalysis, RepeatedRunsAtSameThreadCountAreIdentical) {
@@ -104,6 +125,7 @@ TEST(ParallelAnalysis, RepeatedRunsAtSameThreadCountAreIdentical) {
   const ExperimentResults a = run();
   const ExperimentResults b = run();
   expect_same_results(a, b);
+  EXPECT_EQ(fingerprint(a), kTrace7);
 }
 
 TEST(ParallelAnalysis, SingleRangeAndEmptyRanges) {
@@ -136,6 +158,7 @@ TEST(ParallelAnalysis, ExperimentConfigThreadsPlumbing) {
   cfg.analysis_threads = 2;
   const ExperimentResults two = run_experiment(cfg);
   expect_same_results(def, two);
+  EXPECT_EQ(fingerprint(two), kApfel17);
 }
 
 }  // namespace

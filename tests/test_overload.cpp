@@ -505,8 +505,8 @@ TEST(OverloadAnalysis, ZoneWeightingEqualsSnapshotReplication) {
   }
   degraded.add_degradation(55.0, 140.0, 4);
 
-  const ZoneAnalysis a = analyze_zones(degraded);
-  const ZoneAnalysis b = analyze_zones(replicated);
+  const ZoneAnalysis a = analyze_trace(degraded, {}, kDefaultLandSize, 1).zones;
+  const ZoneAnalysis b = analyze_trace(replicated, {}, kDefaultLandSize, 1).zones;
   EXPECT_EQ(a.mean_per_cell, b.mean_per_cell);
   EXPECT_DOUBLE_EQ(a.empty_fraction, b.empty_fraction);
   EXPECT_EQ(a.max_occupancy, b.max_occupancy);

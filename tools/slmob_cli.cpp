@@ -29,6 +29,7 @@
 #include "trace/serialize.hpp"
 #include "trace/stream.hpp"
 #include "util/bytes.hpp"
+#include "util/strings.hpp"
 #include "util/sysinfo.hpp"
 #include "util/wallclock.hpp"
 
@@ -51,15 +52,25 @@ int usage() {
                "     --out must disambiguate with {land} and/or {seed} placeholders)\n"
                "  slmob run --resume DIR [--jobs J] [--out T.slt]\n"
                "  slmob salvage <journal.sltj> [--out T.slt]\n"
-               "  slmob summary <trace.slt|journal.sltj> [--stream]\n"
+               "  slmob summary <trace.slt|journal.sltj>\n"
                "  slmob analyze <trace.slt|journal.sltj> [--range R]... [--threads N]\n"
-               "                [--stream]\n"
                "  slmob sweep --land <l>[,<l>...] --seeds N [--seed-base S] [--hours H]\n"
                "              [--jobs J]\n"
                "  slmob convert <in.(slt|csv)> <out.(csv|slt)>\n"
                "  slmob dtn <trace.slt> [--scheme epidemic|two-hop|direct] [--messages N]\n"
                "  slmob report <trace.slt> <report.md> [--series]\n");
   return 2;
+}
+
+// Parses a non-negative integer flag value into `out`; false (leaving `out`
+// untouched) on malformed input such as "abc", "-1" or "4x", so callers can
+// print usage instead of silently running with a default.
+template <typename T>
+bool parse_count(const std::string& text, T& out) {
+  const long long value = parse_non_negative_int(text);
+  if (value < 0) return false;
+  out = static_cast<T>(value);
+  return true;
 }
 
 std::optional<LandArchetype> parse_land(const std::string& name) {
@@ -131,6 +142,11 @@ bool has_suffix(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() && s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
+// The error every command reports for an undecodable trace file.
+std::runtime_error corrupt_trace(const std::string& path, const DecodeError& e) {
+  return std::runtime_error(path + ": corrupt or truncated trace (" + e.what() + ")");
+}
+
 // Reads a trace in any format, deciding by extension. A .sltj journal is
 // salvaged in place (torn tails truncated, trailing gap added), so analyze/
 // summary/convert work directly on the journal of a crashed run. Malformed
@@ -160,7 +176,7 @@ Trace read_any(const std::string& path) {
     }
     return load_trace(path);
   } catch (const DecodeError& e) {
-    throw std::runtime_error(path + ": corrupt or truncated trace (" + e.what() + ")");
+    throw corrupt_trace(path, e);
   }
 }
 
@@ -227,15 +243,15 @@ int cmd_run(const std::vector<std::string>& args) {
       if (!parsed) return usage();
       lands = *parsed;
     } else if (args[i] == "--jobs" && i + 1 < args.size()) {
-      jobs = static_cast<std::size_t>(std::atoll(args[++i].c_str()));
+      if (!parse_count(args[++i], jobs)) return usage();
     } else if (args[i] == "--hours" && i + 1 < args.size()) {
       hours = std::atof(args[++i].c_str());
     } else if (args[i] == "--seed" && i + 1 < args.size()) {
-      seed = static_cast<std::uint64_t>(std::atoll(args[++i].c_str()));
+      if (!parse_count(args[++i], seed)) return usage();
     } else if (args[i] == "--faults" && i + 1 < args.size()) {
       faults = args[++i];
     } else if (args[i] == "--fault-seed" && i + 1 < args.size()) {
-      fault_seed = static_cast<std::uint64_t>(std::atoll(args[++i].c_str()));
+      if (!parse_count(args[++i], fault_seed)) return usage();
     } else if (args[i] == "--out" && i + 1 < args.size()) {
       out = args[++i];
     } else if (args[i] == "--journal" && i + 1 < args.size()) {
@@ -249,7 +265,7 @@ int cmd_run(const std::vector<std::string>& args) {
     } else if (args[i] == "--supervise") {
       supervise = true;
     } else if (args[i] == "--max-restarts" && i + 1 < args.size()) {
-      max_restarts = static_cast<std::uint64_t>(std::atoll(args[++i].c_str()));
+      if (!parse_count(args[++i], max_restarts)) return usage();
     } else if (args[i] == "--watchdog-timeout" && i + 1 < args.size()) {
       watchdog_timeout = std::atof(args[++i].c_str());
     } else if (args[i] == "--stats-csv" && i + 1 < args.size()) {
@@ -577,30 +593,13 @@ void print_summary(const std::string& land, Seconds sampling, const TraceSummary
   }
 }
 
+// Single bounded-memory pass: no Trace is materialised, so this works on
+// traces far larger than RAM. The timing and footprint lines go to stderr,
+// keeping stdout a deterministic function of the trace.
 int cmd_summary(const std::vector<std::string>& args) {
-  bool stream = false;
-  std::string path;
-  for (const auto& arg : args) {
-    if (arg == "--stream") {
-      stream = true;
-    } else if (path.empty()) {
-      path = arg;
-    } else {
-      return usage();
-    }
-  }
-  if (path.empty()) return usage();
-
-  if (!stream) {
-    const Trace trace = read_any(path);
-    print_summary(trace.land_name(), trace.sampling_interval(), trace.summary());
-    return 0;
-  }
-
-  // Single bounded-memory pass: no Trace is materialised, so this works on
-  // traces far larger than RAM and doubles as a footprint/throughput probe.
+  if (args.size() != 1) return usage();
+  const std::string& path = args[0];
   const auto t0 = wallclock::now();
-  const auto reader = open_trace_stream(path);
   TraceSummary s;
   std::set<AvatarId> users;
   std::size_t total_fixes = 0;
@@ -608,35 +607,41 @@ int cmd_summary(const std::vector<std::string>& args) {
   Seconds first_time = 0.0;
   Seconds last_time = 0.0;
   Seconds degrade_open_at = -1.0;
-  for (;;) {
-    const StreamEvent ev = reader->next();
-    if (ev.kind == StreamEventKind::kEnd) break;
-    if (ev.kind == StreamEventKind::kSnapshot) {
-      ++s.snapshot_count;
-      total_fixes += ev.snapshot->fixes.size();
-      s.max_concurrent = std::max(s.max_concurrent, ev.snapshot->fixes.size());
-      for (const auto& fix : ev.snapshot->fixes) users.insert(fix.id);
-      if (!have_first) {
-        have_first = true;
-        first_time = ev.snapshot->time;
-      }
-      last_time = ev.snapshot->time;
-    } else if (ev.kind == StreamEventKind::kGap) {
-      ++s.gap_count;
-      s.gap_seconds += ev.gap.length();
-    } else if (ev.kind == StreamEventKind::kRateChange) {
-      // A factor > 1 opens a degraded window (closing any open one first —
-      // an escalation 2 -> 4 is two windows, matching the batch trace);
-      // factor 1 closes the open window.
-      if (degrade_open_at >= 0.0) {
-        s.degraded_seconds += ev.time - degrade_open_at;
-        degrade_open_at = -1.0;
-      }
-      if (ev.factor > 1) {
-        ++s.degradation_count;
-        degrade_open_at = ev.time;
+  std::unique_ptr<TraceStream> reader;
+  try {
+    reader = open_trace_stream(path);
+    for (;;) {
+      const StreamEvent ev = reader->next();
+      if (ev.kind == StreamEventKind::kEnd) break;
+      if (ev.kind == StreamEventKind::kSnapshot) {
+        ++s.snapshot_count;
+        total_fixes += ev.snapshot->fixes.size();
+        s.max_concurrent = std::max(s.max_concurrent, ev.snapshot->fixes.size());
+        for (const auto& fix : ev.snapshot->fixes) users.insert(fix.id);
+        if (!have_first) {
+          have_first = true;
+          first_time = ev.snapshot->time;
+        }
+        last_time = ev.snapshot->time;
+      } else if (ev.kind == StreamEventKind::kGap) {
+        ++s.gap_count;
+        s.gap_seconds += ev.gap.length();
+      } else if (ev.kind == StreamEventKind::kRateChange) {
+        // A factor > 1 opens a degraded window (closing any open one first —
+        // an escalation 2 -> 4 is two windows, as in the recorded trace);
+        // factor 1 closes the open window.
+        if (degrade_open_at >= 0.0) {
+          s.degraded_seconds += ev.time - degrade_open_at;
+          degrade_open_at = -1.0;
+        }
+        if (ev.factor > 1) {
+          ++s.degradation_count;
+          degrade_open_at = ev.time;
+        }
       }
     }
+  } catch (const DecodeError& e) {
+    throw corrupt_trace(path, e);
   }
   if (s.snapshot_count > 0) {
     s.unique_users = users.size();
@@ -644,19 +649,16 @@ int cmd_summary(const std::vector<std::string>& args) {
         static_cast<double>(total_fixes) / static_cast<double>(s.snapshot_count);
     s.duration = last_time - first_time;
   }
-  const double secs =
-      wallclock::seconds_since(t0);
+  const double secs = wallclock::seconds_since(t0);
   warn_if_torn(reader.get(), path);
   print_summary(reader->land_name(), reader->sampling_interval(), s);
-  std::printf("pass:            %.2f s (%.0f snapshots/s)\n", secs,
-              secs > 0.0 ? static_cast<double>(s.snapshot_count) / secs : 0.0);
-  std::printf("peak memory:     %.1f MiB\n",
-              static_cast<double>(peak_rss_bytes()) / (1024.0 * 1024.0));
+  std::fprintf(stderr, "pass:            %.2f s (%.0f snapshots/s)\n", secs,
+               secs > 0.0 ? static_cast<double>(s.snapshot_count) / secs : 0.0);
+  std::fprintf(stderr, "peak memory:     %.1f MiB\n",
+               static_cast<double>(peak_rss_bytes()) / (1024.0 * 1024.0));
   return 0;
 }
 
-// Shared by the batch and streaming analyze paths — both produce an
-// AnalysisReport, so identical results print identically.
 void print_report(const AnalysisReport& res) {
   for (const auto& [r, c] : res.contacts) {
     const auto& g = res.graphs.at(r);
@@ -676,55 +678,48 @@ void print_report(const AnalysisReport& res) {
   }
 }
 
+// Streams the trace through the analysis engine in one bounded-memory pass.
+// The report and proximity counters on stdout are identical at every
+// thread count; the throughput/footprint line goes to stderr.
 int cmd_analyze(const std::vector<std::string>& args) {
   if (args.empty()) return usage();
-  std::vector<double> ranges;
-  std::size_t threads = 0;  // 0 = SLMOB_THREADS env / hardware_concurrency
-  bool stream = false;
+  StreamingOptions options;
+  options.ranges.clear();
   for (std::size_t i = 1; i < args.size(); ++i) {
     if (args[i] == "--range" && i + 1 < args.size()) {
-      ranges.push_back(std::atof(args[++i].c_str()));
+      options.ranges.push_back(std::atof(args[++i].c_str()));
     } else if (args[i] == "--threads" && i + 1 < args.size()) {
-      threads = static_cast<std::size_t>(std::atoll(args[++i].c_str()));
-    } else if (args[i] == "--stream") {
-      stream = true;
+      // 0 = SLMOB_THREADS env / hardware_concurrency
+      if (!parse_count(args[++i], options.threads)) return usage();
     } else {
       return usage();
     }
   }
-  if (ranges.empty()) ranges = {kBluetoothRange, kWifiRange};
+  if (options.ranges.empty()) options.ranges = {kBluetoothRange, kWifiRange};
 
-  if (stream) {
-    // Single-pass bounded-memory pipeline; bit-identical results to the
-    // batch path below.
-    StreamingOptions options;
-    options.ranges = ranges;
-    options.threads = threads;
-    const auto t0 = wallclock::now();
-    const auto reader = open_trace_stream(args[0]);
-    StreamingAnalyzer analyzer(options);
+  const std::string& path = args[0];
+  const auto t0 = wallclock::now();
+  StreamingAnalyzer analyzer(options);
+  AnalysisReport report;
+  try {
+    const auto reader = open_trace_stream(path);
     drive_stream(*reader, analyzer);
-    const AnalysisReport report = analyzer.finish();
-    const double secs =
-        wallclock::seconds_since(t0);
-    warn_if_torn(reader.get(), args[0]);
-    print_report(report);
-    const StreamingProgress p = analyzer.progress();
-    std::printf("stream: %zu snapshots in %.2f s (%.0f snapshots/s), peak RSS %.1f MiB, "
-                "%zu threads\n",
-                p.snapshots, secs,
-                secs > 0.0 ? static_cast<double>(p.snapshots) / secs : 0.0,
-                static_cast<double>(peak_rss_bytes()) / (1024.0 * 1024.0),
-                analyzer.threads_used());
-    std::printf("proximity: %zu delta updates, %zu rebuilds\n", p.proximity_delta_updates,
-                p.proximity_rebuilds);
-    return 0;
+    report = analyzer.finish();
+    warn_if_torn(reader.get(), path);
+  } catch (const DecodeError& e) {
+    throw corrupt_trace(path, e);
   }
-
-  Trace trace = read_any(args[0]);
-  const ExperimentResults res =
-      analyze_trace(std::move(trace), ranges, kDefaultLandSize, threads);
-  print_report(to_analysis_report(res));
+  const double secs = wallclock::seconds_since(t0);
+  print_report(report);
+  const StreamingProgress p = analyzer.progress();
+  std::printf("proximity: %zu delta updates, %zu rebuilds\n", p.proximity_delta_updates,
+              p.proximity_rebuilds);
+  std::fprintf(stderr,
+               "stream: %zu snapshots in %.2f s (%.0f snapshots/s), peak RSS %.1f MiB, "
+               "%zu threads\n",
+               p.snapshots, secs, secs > 0.0 ? static_cast<double>(p.snapshots) / secs : 0.0,
+               static_cast<double>(peak_rss_bytes()) / (1024.0 * 1024.0),
+               analyzer.threads_used());
   return 0;
 }
 
@@ -744,13 +739,13 @@ int cmd_sweep(const std::vector<std::string>& args) {
       if (!parsed) return usage();
       lands = *parsed;
     } else if (args[i] == "--seeds" && i + 1 < args.size()) {
-      seeds = static_cast<std::size_t>(std::atoll(args[++i].c_str()));
+      if (!parse_count(args[++i], seeds)) return usage();
     } else if (args[i] == "--seed-base" && i + 1 < args.size()) {
-      seed_base = static_cast<std::uint64_t>(std::atoll(args[++i].c_str()));
+      if (!parse_count(args[++i], seed_base)) return usage();
     } else if (args[i] == "--hours" && i + 1 < args.size()) {
       hours = std::atof(args[++i].c_str());
     } else if (args[i] == "--jobs" && i + 1 < args.size()) {
-      jobs = static_cast<std::size_t>(std::atoll(args[++i].c_str()));
+      if (!parse_count(args[++i], jobs)) return usage();
     } else {
       return usage();
     }
@@ -838,11 +833,11 @@ int cmd_dtn(const std::vector<std::string>& args) {
         return usage();
       }
     } else if (args[i] == "--messages" && i + 1 < args.size()) {
-      cfg.message_count = static_cast<std::size_t>(std::atoll(args[++i].c_str()));
+      if (!parse_count(args[++i], cfg.message_count)) return usage();
     } else if (args[i] == "--range" && i + 1 < args.size()) {
       cfg.range = std::atof(args[++i].c_str());
     } else if (args[i] == "--seed" && i + 1 < args.size()) {
-      cfg.seed = static_cast<std::uint64_t>(std::atoll(args[++i].c_str()));
+      if (!parse_count(args[++i], cfg.seed)) return usage();
     } else {
       return usage();
     }
