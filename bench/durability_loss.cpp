@@ -91,7 +91,7 @@ bool snapshots_equal(const Snapshot& a, const Snapshot& b) {
 }
 
 CellScore score_cell(const std::string& scenario, double kill_fraction, double hours,
-                     std::uint64_t seed, const DurableRunResult& baseline) {
+                     std::uint64_t seed, const ShardResult& baseline) {
   const ExperimentConfig cfg = make_config(scenario, hours, seed);
   const std::string tag =
       scenario + "_" + std::to_string(static_cast<int>(kill_fraction * 100.0));
@@ -106,7 +106,7 @@ CellScore score_cell(const std::string& scenario, double kill_fraction, double h
   options.dir = fresh_dir("killed_" + tag);
   options.checkpoint_every = 300.0;
   options.kill_at = kill_fraction * cfg.duration;
-  const DurableRunResult dead = run_durable(options);
+  const ShardResult dead = run_durable(options);
   if (!dead.killed) {
     std::fprintf(stderr, "FAIL: %s did not register the kill\n", tag.c_str());
     std::exit(1);
@@ -114,13 +114,14 @@ CellScore score_cell(const std::string& scenario, double kill_fraction, double h
 
   // Salvage of the cleanly-flushed journal: everything sampled up to the
   // kill instant survives.
-  const JournalSalvage clean = salvage_journal(dead.journal_path);
+  const std::string journal = options.dir + "/" + kJournalFileName;
+  const JournalSalvage clean = salvage_journal(journal);
   score.snapshots_at_kill = clean.snapshots;
   score.salvage_gap_seconds = clean.trace.gap_seconds();
 
   // Now tear the final frame mid-byte, as a SIGKILL during fwrite would,
   // and salvage the remains.
-  std::vector<std::uint8_t> torn_bytes = read_file_bytes(dead.journal_path);
+  std::vector<std::uint8_t> torn_bytes = read_file_bytes(journal);
   torn_bytes.resize(torn_bytes.size() - 1);
   const JournalSalvage torn = salvage_journal_bytes(torn_bytes);
   score.snapshots_after_tear = torn.snapshots;
@@ -142,8 +143,8 @@ CellScore score_cell(const std::string& scenario, double kill_fraction, double h
   const std::string copy = fresh_dir("killed_" + tag + "_copy");
   std::filesystem::remove_all(copy);
   std::filesystem::copy(options.dir, copy);
-  const DurableRunResult resumed_a = resume_durable(options.dir);
-  const DurableRunResult resumed_b = resume_durable(copy);
+  const ShardResult resumed_a = resume_durable(options.dir);
+  const ShardResult resumed_b = resume_durable(copy);
   const auto bytes_a = encode_trace(resumed_a.trace);
   score.resume_identical = bytes_a == encode_trace(resumed_b.trace);
   score.resume_matches_baseline = bytes_a == encode_trace(baseline.trace);
@@ -216,7 +217,7 @@ int main(int argc, char** argv) {
     base_options.config = make_config(scenario, hours, seed);
     base_options.dir = fresh_dir("baseline_" + scenario);
     base_options.checkpoint_every = 300.0;
-    const DurableRunResult baseline = run_durable(base_options);
+    const ShardResult baseline = run_durable(base_options);
 
     for (const double frac : kill_fractions) {
       std::fprintf(stderr, "[bench] %s kill at %.0f%%...\n", scenario.c_str(),

@@ -1,10 +1,13 @@
 #include "core/checkpoint.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <stdexcept>
 
 #include "util/bytes.hpp"
 #include "util/fileio.hpp"
+#include "util/log.hpp"
 
 namespace slmob {
 namespace {
@@ -18,9 +21,8 @@ std::string checkpoint_path(const std::string& dir) {
 
 std::string journal_path(const std::string& dir) { return dir + "/" + kJournalFileName; }
 
-}  // namespace
-
-void fill_checkpoint_witness(CheckpointState& ck, Testbed& bed) {
+// The replay-verification witness of the rig's current state.
+void fill_witness(CheckpointState& ck, Testbed& bed) {
   ck.engine_tick = static_cast<std::uint64_t>(bed.engine().tick());
   ck.world_rng = bed.world().rng_state();
   ck.network_rng = bed.network().rng_state();
@@ -32,7 +34,8 @@ void fill_checkpoint_witness(CheckpointState& ck, Testbed& bed) {
   ck.network_sent = bed.network().stats().sent;
 }
 
-void verify_checkpoint_replay(const CheckpointState& ck, Testbed& bed) {
+// Throws std::runtime_error naming the first mismatching component.
+void verify_replay(const CheckpointState& ck, Testbed& bed) {
   const auto check = [](bool ok, const char* what) {
     if (!ok) {
       throw std::runtime_error(
@@ -53,57 +56,6 @@ void verify_checkpoint_replay(const CheckpointState& ck, Testbed& bed) {
         "crawler coverage gaps");
   check(bed.world().stats().total_logins == ck.world_logins, "world login count");
   check(bed.network().stats().sent == ck.network_sent, "network datagram count");
-}
-
-namespace {
-
-// Shared by fresh and resumed runs: advance in checkpoint-sized segments,
-// persisting a checkpoint after each, and finalize (or die) on schedule.
-DurableRunResult run_loop(Testbed& bed, TraceJournalWriter& writer, CheckpointState base,
-                          const std::string& dir, Seconds from,
-                          std::optional<Seconds> kill_at) {
-  DurableRunResult result;
-  result.journal_path = writer.path();
-  const Seconds duration = base.duration;
-  const Seconds every = base.checkpoint_every;
-
-  const auto capture_stats = [&] {
-    result.crawler_stats = bed.crawler()->stats();
-    result.world_stats = bed.world().stats();
-    result.server_stats = bed.server().stats();
-    result.network_stats = bed.network().stats();
-    if (bed.client() != nullptr) {
-      result.circuit_stats = bed.client()->total_circuit_stats();
-    }
-  };
-
-  Seconds t = from;
-  while (t < duration) {
-    const Seconds next = every > 0.0 ? std::min(t + every, duration) : duration;
-    if (kill_at && *kill_at < duration && *kill_at < next) {
-      // Simulated SIGKILL: stop mid-segment with no handover and no kEnd
-      // frame — exactly the on-disk state a killed process leaves.
-      bed.run_until(*kill_at);
-      result.killed = true;
-      capture_stats();
-      return result;
-    }
-    bed.run_until(next);
-    t = next;
-    if (every > 0.0) {
-      CheckpointState ck = base;
-      ck.time = t;
-      ck.journal_offset = writer.offset();
-      fill_checkpoint_witness(ck, bed);
-      save_checkpoint(ck, dir);
-      ++result.checkpoints_written;
-    }
-  }
-
-  result.trace = bed.crawler()->take_trace();
-  writer.append_end(bed.engine().now());
-  capture_stats();
-  return result;
 }
 
 }  // namespace
@@ -252,54 +204,125 @@ CheckpointLoadResult try_load_checkpoint(const std::string& dir) {
   return result;
 }
 
-DurableRunResult run_durable(const DurableRunOptions& options) {
-  if (options.dir.empty()) {
-    throw std::invalid_argument("run_durable: checkpoint directory required");
-  }
-  std::filesystem::create_directories(options.dir);
-
-  Testbed bed(make_testbed_config(options.config));
-  if (bed.crawler() == nullptr) {
-    throw std::logic_error("run_durable: config has no crawler to journal");
-  }
-  TraceJournalWriter writer(journal_path(options.dir), options.config.duration);
-  bed.crawler()->attach_journal(&writer);
-
-  CheckpointState base;
-  base.archetype = options.config.archetype;
-  base.duration = options.config.duration;
-  base.seed = options.config.seed;
-  base.fault_scenario = options.config.fault_scenario;
-  base.fault_seed = options.config.fault_seed;
-  base.out_path = options.out_path;
-  base.checkpoint_every = options.checkpoint_every;
-  return run_loop(bed, writer, base, options.dir, 0.0, options.kill_at);
+void capture_rig_stats(Testbed& bed, ShardResult& out) {
+  if (bed.crawler() != nullptr) out.crawler_stats = bed.crawler()->stats();
+  out.world_stats = bed.world().stats();
+  out.server_stats = bed.server().stats();
+  out.network_stats = bed.network().stats();
+  if (bed.client() != nullptr) out.circuit_stats = bed.client()->total_circuit_stats();
 }
 
-DurableRunResult resume_durable(const std::string& dir, std::optional<Seconds> kill_at) {
-  const CheckpointState ck = load_checkpoint(dir);
-
-  ExperimentConfig cfg;
-  cfg.archetype = ck.archetype;
-  cfg.duration = ck.duration;
-  cfg.seed = ck.seed;
-  cfg.fault_scenario = ck.fault_scenario;
-  cfg.fault_seed = ck.fault_seed;
-
-  Testbed bed(make_testbed_config(cfg));
-  if (bed.crawler() == nullptr) {
-    throw std::logic_error("resume_durable: rebuilt rig has no crawler");
+DurableShard::DurableShard(const ExperimentConfig& config, std::string dir,
+                           Seconds checkpoint_every, std::string out_path)
+    : dir_(std::move(dir)), bed_(make_testbed_config(config)) {
+  if (bed_.crawler() == nullptr) {
+    throw std::logic_error("DurableShard: config has no crawler to journal");
   }
+  identity_.archetype = config.archetype;
+  identity_.duration = config.duration;
+  identity_.seed = config.seed;
+  identity_.fault_scenario = config.fault_scenario;
+  identity_.fault_seed = config.fault_seed;
+  identity_.out_path = std::move(out_path);
+  identity_.checkpoint_every = checkpoint_every;
+}
+
+void DurableShard::start() {
+  std::filesystem::create_directories(dir_);
+  writer_.emplace(journal_path(dir_), identity_.duration);
+  bed_.crawler()->attach_journal(&*writer_);
+}
+
+void DurableShard::restore(const CheckpointState& ck, Seconds replay_step,
+                           const std::function<void()>& after_step) {
   // Silent replay to the checkpointed frontier: the simulator is a pure
   // function of its seeds, so this reconstructs every avatar, datagram and
   // crawler timer without serializing any of them. No journal is attached —
-  // the frames for this prefix already sit in the journal file.
-  bed.run_until(ck.time);
-  verify_checkpoint_replay(ck, bed);
+  // the frames for this prefix already sit in the journal file. Step
+  // boundaries never change simulation results.
+  while (now_ < ck.time) {
+    now_ = replay_step > 0.0 ? std::min(ck.time, now_ + replay_step) : ck.time;
+    bed_.run_until(now_);
+    if (after_step) after_step();
+  }
+  verify_replay(ck, bed_);
+  writer_.emplace(
+      TraceJournalWriter::resume(journal_path(dir_), ck.journal_offset, identity_.duration));
+  bed_.crawler()->attach_journal(&*writer_);
+}
 
-  auto writer = TraceJournalWriter::resume(journal_path(dir), ck.journal_offset, ck.duration);
-  bed.crawler()->attach_journal(&writer);
-  return run_loop(bed, writer, ck, dir, ck.time, kill_at);
+void DurableShard::advance(Seconds until) {
+  const Seconds duration = identity_.duration;
+  const Seconds every = identity_.checkpoint_every;
+  until = std::min(until, duration);
+  while (now_ < until) {
+    const Seconds boundary =
+        every > 0.0 ? std::min(duration, every * (std::floor(now_ / every + 1e-9) + 1.0))
+                    : duration;
+    const Seconds next = std::min(until, boundary);
+    bed_.run_until(next);
+    now_ = next;
+    if (every > 0.0 && now_ == boundary) checkpoint();
+  }
+}
+
+void DurableShard::checkpoint() {
+  CheckpointState ck = identity_;
+  ck.time = now_;
+  ck.journal_offset = writer_->offset();
+  fill_witness(ck, bed_);
+  save_checkpoint_rotating(ck, dir_);
+  ++checkpoints_written_;
+}
+
+ShardResult DurableShard::finish() {
+  ShardResult result;
+  result.archetype = identity_.archetype;
+  result.seed = identity_.seed;
+  result.out_path = identity_.out_path;
+  result.checkpoints_written = checkpoints_written_;
+  if (now_ < identity_.duration) {
+    result.killed = true;
+  } else {
+    result.trace = bed_.crawler()->take_trace();
+    writer_->append_end(bed_.engine().now());
+  }
+  capture_rig_stats(bed_, result);
+  return result;
+}
+
+ShardResult run_durable(const DurableRunOptions& options) {
+  if (options.dir.empty()) {
+    throw std::invalid_argument("run_durable: checkpoint directory required");
+  }
+  DurableShard shard(options.config, options.dir, options.checkpoint_every,
+                     options.out_path);
+  shard.start();
+  shard.advance(options.kill_at.value_or(shard.duration()));
+  return shard.finish();
+}
+
+ShardResult resume_durable(const std::string& dir, std::optional<Seconds> kill_at) {
+  const CheckpointLoadResult loaded = try_load_checkpoint(dir);
+  if (!loaded.state) {
+    throw std::runtime_error("resume_durable: no loadable checkpoint in " + dir +
+                             (loaded.diagnostic.empty() ? "" : " (" + loaded.diagnostic + ")"));
+  }
+  if (loaded.used_fallback) {
+    log_warn("checkpoint", "resuming " + dir + " from " + kCheckpointPrevFileName +
+                               (loaded.diagnostic.empty() ? "" : ": " + loaded.diagnostic));
+  }
+  const CheckpointState& ck = *loaded.state;
+  ExperimentConfig config;
+  config.archetype = ck.archetype;
+  config.duration = ck.duration;
+  config.seed = ck.seed;
+  config.fault_scenario = ck.fault_scenario;
+  config.fault_seed = ck.fault_seed;
+  DurableShard shard(config, dir, ck.checkpoint_every, ck.out_path);
+  shard.restore(ck);
+  shard.advance(kill_at.value_or(shard.duration()));
+  return shard.finish();
 }
 
 }  // namespace slmob

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <array>
+#include <functional>
 #include <optional>
 #include <string>
 
@@ -82,9 +83,9 @@ void save_checkpoint(const CheckpointState& state, const std::string& dir);
 CheckpointState load_checkpoint(const std::string& dir);
 
 // Like save_checkpoint, but first rotates the current checkpoint.slck to
-// checkpoint.prev.slck, so two independent generations exist on disk. The
-// supervisor uses this: losing the newest checkpoint to corruption then
-// costs one extra replay segment, not the whole run.
+// checkpoint.prev.slck, so two independent generations exist on disk. Every
+// durable run saves this way: losing the newest checkpoint to corruption
+// then costs one extra replay segment, not the whole run.
 void save_checkpoint_rotating(const CheckpointState& state, const std::string& dir);
 
 // Result of a fallback-aware load. `state` is empty when no generation
@@ -102,6 +103,88 @@ struct CheckpointLoadResult {
 // generation is tried; the caller decides between resume and cold restart.
 CheckpointLoadResult try_load_checkpoint(const std::string& dir);
 
+// Raw capture of one shard. The trace is exactly what the shard's
+// measurement instrument recorded (not sitting-stripped), which is what
+// determinism digests compare.
+struct ShardResult {
+  LandArchetype archetype{LandArchetype::kIsleOfView};
+  std::uint64_t seed{0};
+  Trace trace;
+  CrawlerStats crawler_stats;
+  WorldStats world_stats;
+  SimServerStats server_stats;
+  NetworkStats network_stats;
+  // Crawler-client transport stats, summed over every circuit (relogins
+  // retire circuits); zero-initialised for ground-truth-only shards.
+  CircuitStats circuit_stats;
+  bool killed{false};                 // durable runs only
+  std::size_t checkpoints_written{0}; // durable runs only
+  // Durable runs: where the finished trace should land, recorded in the
+  // shard's checkpoint so a resume needs no re-specification.
+  std::string out_path;
+};
+
+// Copies the rig's counter structs (crawler, world, server, network and the
+// crawler client's circuits, where present) into `out`.
+void capture_rig_stats(Testbed& bed, ShardResult& out);
+
+// One journaled measurement rig: the Testbed, its write-ahead journal in
+// <dir>/trace.sltj and the checkpoint identity. It is the only durable
+// capture loop; run_durable, resume_durable, run_sharded's durable mode,
+// resume_sharded and the run supervisor (core/supervisor.hpp) all drive it.
+//
+// Checkpoints rotate two generations (save_checkpoint_rotating) and land at
+// every multiple of `checkpoint_every` the run reaches, plus one at
+// `duration`, so a finished shard resumes from its tail. With
+// checkpoint_every = 0 the run is journaled only: salvageable, not
+// resumable.
+class DurableShard {
+ public:
+  // Builds the rig for `config` (which must have a crawler, else
+  // std::logic_error). Nothing touches `dir` until start() or restore().
+  DurableShard(const ExperimentConfig& config, std::string dir, Seconds checkpoint_every,
+               std::string out_path);
+
+  DurableShard(const DurableShard&) = delete;
+  DurableShard& operator=(const DurableShard&) = delete;
+
+  // Cold start from t = 0: creates `dir` and attaches a fresh (truncated)
+  // journal.
+  void start();
+  // Continues from `ck`: silent replay to ck.time in steps of at most
+  // `replay_step` virtual seconds (<= 0: one step), calling `after_step`
+  // after each; then verifies the replay witness (std::runtime_error naming
+  // the first mismatching component), truncates the journal to the
+  // checkpointed offset and attaches it.
+  void restore(const CheckpointState& ck, Seconds replay_step = 0.0,
+               const std::function<void()>& after_step = {});
+
+  // Runs to min(until, duration), checkpointing on the way (see above).
+  void advance(Seconds until);
+  // Hands over the capture: at `duration` the trace, a kEnd journal frame
+  // and the counters. Called earlier it models a SIGKILL at now(): counters
+  // only, no trace handover, no kEnd frame, `killed` set.
+  ShardResult finish();
+
+  [[nodiscard]] Seconds now() const { return now_; }
+  [[nodiscard]] Seconds duration() const { return identity_.duration; }
+  [[nodiscard]] Testbed& bed() { return bed_; }
+  [[nodiscard]] TraceJournalWriter& journal() { return *writer_; }
+  [[nodiscard]] std::size_t checkpoints_written() const { return checkpoints_written_; }
+
+ private:
+  void checkpoint();
+
+  CheckpointState identity_;  // progress and witness fields unused
+  std::string dir_;
+  // Declared before bed_, so the rig (whose crawler points at the writer)
+  // is destroyed first.
+  std::optional<TraceJournalWriter> writer_;
+  Testbed bed_;
+  Seconds now_{0.0};
+  std::size_t checkpoints_written_{0};
+};
+
 struct DurableRunOptions {
   // Only archetype/duration/seed/fault_scenario/fault_seed are recorded in
   // the checkpoint; the testbed config must stay default for a resume to
@@ -116,33 +199,18 @@ struct DurableRunOptions {
   std::optional<Seconds> kill_at;
 };
 
-struct DurableRunResult {
-  Trace trace;  // empty when the run was killed
-  CrawlerStats crawler_stats;
-  WorldStats world_stats;
-  SimServerStats server_stats;
-  NetworkStats network_stats;
-  CircuitStats circuit_stats;  // crawler client, summed across reconnects
-  bool killed{false};
-  std::size_t checkpoints_written{0};
-  std::string journal_path;
-};
-
 // Runs a journaled (and, when checkpoint_every > 0, checkpointed)
-// measurement from t = 0. Requires a crawler-equipped config.
-DurableRunResult run_durable(const DurableRunOptions& options);
+// measurement from t = 0. Requires a crawler-equipped config. The journal
+// is <dir>/trace.sltj (kJournalFileName).
+ShardResult run_durable(const DurableRunOptions& options);
 
-// Resumes a killed run from the newest checkpoint in `dir` (replay, verify,
-// truncate journal, continue). Deterministic: resuming the same directory
-// twice produces bit-identical traces, equal to the never-killed run's.
-DurableRunResult resume_durable(const std::string& dir,
-                                std::optional<Seconds> kill_at = std::nullopt);
-
-// Replay-witness plumbing, shared with the run supervisor
-// (core/supervisor.hpp), which drives its own segment loop but must record
-// and verify exactly the same witness as run_durable/resume_durable.
-void fill_checkpoint_witness(CheckpointState& ck, Testbed& bed);
-// Throws std::runtime_error naming the first mismatching component.
-void verify_checkpoint_replay(const CheckpointState& ck, Testbed& bed);
+// Resumes a killed run from the newest loadable checkpoint generation in
+// `dir` (falling back to checkpoint.prev.slck when checkpoint.slck is
+// corrupt), then replays, verifies, truncates the journal and continues.
+// Throws std::runtime_error when no generation loads or the replay witness
+// does not match. Deterministic: resuming the same directory twice produces
+// bit-identical traces, equal to the never-killed run's.
+ShardResult resume_durable(const std::string& dir,
+                           std::optional<Seconds> kill_at = std::nullopt);
 
 }  // namespace slmob

@@ -9,10 +9,11 @@
 // Two execution modes:
 //  * in-memory (run_sharded with an empty checkpoint_dir): fastest, nothing
 //    on disk;
-//  * durable (checkpoint_dir set): each shard runs journaled + checkpointed
-//    in its own subdirectory (shard-NN-<land>), so a killed multi-land run
-//    resumes per shard via resume_sharded — shards that already finished
-//    replay from their checkpoint tail only.
+//  * durable (checkpoint_dir set): each shard is a DurableShard
+//    (core/checkpoint.hpp), journaled + checkpointed in its own subdirectory
+//    (shard-NN-<land>), so a killed multi-land run resumes per shard via
+//    resume_sharded — a shard that had already finished restores from its
+//    final checkpoint and appends nothing but the journal's end frame.
 #pragma once
 
 #include <optional>
@@ -23,27 +24,6 @@
 #include "core/experiment.hpp"
 
 namespace slmob {
-
-// Raw capture of one shard. The trace is exactly what the shard's
-// measurement instrument recorded (not sitting-stripped), which is what
-// determinism digests compare.
-struct ShardResult {
-  LandArchetype archetype{LandArchetype::kIsleOfView};
-  std::uint64_t seed{0};
-  Trace trace;
-  CrawlerStats crawler_stats;
-  WorldStats world_stats;
-  SimServerStats server_stats;
-  NetworkStats network_stats;
-  // Crawler-client transport stats, summed over every circuit (relogins
-  // retire circuits); zero-initialised for ground-truth-only shards.
-  CircuitStats circuit_stats;
-  bool killed{false};                 // durable runs only
-  std::size_t checkpoints_written{0}; // durable runs only
-  // Durable runs: where the finished trace should land, recorded in the
-  // shard's checkpoint so a resume needs no re-specification.
-  std::string out_path;
-};
 
 struct ShardRunOptions {
   // Total worker threads across shards, counting the caller (ThreadPool
@@ -72,8 +52,9 @@ std::vector<ShardResult> run_sharded(const std::vector<ExperimentConfig>& shards
 
 // Resumes a killed run_sharded from its checkpoint directory: accepts either
 // a directory of shard-* subdirectories or a single shard's own directory
-// (one checkpoint.slck). Shards resume concurrently; results are in shard
-// (directory) order and bit-identical to the never-killed run's.
+// (checkpoint generations directly inside). Shards resume concurrently;
+// results are in shard (directory) order and bit-identical to the
+// never-killed run's.
 std::vector<ShardResult> resume_sharded(const std::string& checkpoint_dir,
                                         std::size_t threads = 0,
                                         std::optional<Seconds> kill_at = std::nullopt);

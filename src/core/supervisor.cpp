@@ -100,38 +100,23 @@ struct ShardCtx {
   }
 };
 
-// One wired rig plus its journal, ready to run from `from`.
-struct ShardRig {
-  std::unique_ptr<Testbed> bed;
-  std::optional<TraceJournalWriter> writer;
-  Seconds from{0.0};
-};
-
 std::string describe(const char* what, Seconds at) {
   char buf[96];
   std::snprintf(buf, sizeof buf, "%s at t=%.0f s", what, at);
   return buf;
 }
 
-// Silent replay to the checkpoint frontier, sub-stepped so the watchdog
-// keeps seeing heartbeats (a 20 h replay must not look like a stall).
-void replay_to(ShardCtx& c, Testbed& bed, Seconds until) {
-  Seconds t = 0.0;
-  while (t < until) {
-    if (c.canceled()) {
-      throw WatchdogAbort("watchdog canceled shard during checkpoint replay");
-    }
-    t = std::min(until, t + c.heartbeat_every);
-    bed.run_until(t);
-    c.beat();
-  }
-}
-
-// Builds the rig for one attempt: resume from the best usable checkpoint
-// generation, else cold-start. Corrupt checkpoints and replay-verify
-// mismatches are contained here — they demote the attempt to a cold
-// restart (with a diagnostic) instead of failing the shard.
-ShardRig prepare_rig(ShardCtx& c) {
+// Opens the rig for one attempt: restore from the best usable checkpoint
+// generation, else cold-start. The replay heartbeats every
+// heartbeat_every virtual seconds, so a 20 h replay does not look like a
+// stall. Corrupt checkpoints and replay-verify mismatches are contained
+// here — they demote the attempt to a cold restart (with a diagnostic)
+// instead of failing the shard.
+std::unique_ptr<DurableShard> open_rig(ShardCtx& c) {
+  const auto fresh_rig = [&c] {
+    return std::make_unique<DurableShard>(c.config, c.dir, c.opt.checkpoint_every,
+                                          c.out_path);
+  };
   const CheckpointLoadResult loaded = try_load_checkpoint(c.dir);
   if (!loaded.diagnostic.empty()) {
     c.health.last_error = loaded.diagnostic;
@@ -139,13 +124,13 @@ ShardRig prepare_rig(ShardCtx& c) {
   }
   if (loaded.state) {
     try {
-      ShardRig rig;
-      rig.bed = std::make_unique<Testbed>(make_testbed_config(c.config));
-      replay_to(c, *rig.bed, loaded.state->time);
-      verify_checkpoint_replay(*loaded.state, *rig.bed);
-      rig.writer.emplace(TraceJournalWriter::resume(
-          c.journal_file(), loaded.state->journal_offset, c.config.duration));
-      rig.from = loaded.state->time;
+      auto rig = fresh_rig();
+      rig->restore(*loaded.state, c.heartbeat_every, [&c] {
+        c.beat();
+        if (c.canceled()) {
+          throw WatchdogAbort("watchdog canceled shard during checkpoint replay");
+        }
+      });
       if (loaded.used_fallback) c.health.used_fallback_checkpoint = true;
       return rig;
     } catch (const WatchdogAbort&) {
@@ -162,23 +147,20 @@ ShardRig prepare_rig(ShardCtx& c) {
     // first save, or every generation corrupt) replays nothing: count it.
     ++c.health.cold_restarts;
   }
-  ShardRig rig;
-  rig.bed = std::make_unique<Testbed>(make_testbed_config(c.config));
-  rig.writer.emplace(c.journal_file(), c.config.duration);  // truncates
-  rig.from = 0.0;
+  auto rig = fresh_rig();
+  rig->start();
   return rig;
 }
 
 // Fires the next due shard fault. Marks it fired *before* throwing so a
 // restarted attempt sails past the window, and records the fault event with
 // the journal frontier (the bench gates frames lost per crash against it).
-void fire_injection(ShardCtx& c, Testbed& bed, TraceJournalWriter& writer,
-                    const FaultWindow& w) {
+void fire_injection(ShardCtx& c, DurableShard& rig, const FaultWindow& w) {
   ++c.next_injection;  // at most once per run
   ShardFaultEvent ev;
   ev.at = w.start;
-  ev.snapshots_at_fault = bed.crawler()->stats().snapshots_taken;
-  ev.journal_offset_at_fault = writer.offset();
+  ev.snapshots_at_fault = rig.bed().crawler()->stats().snapshots_taken;
+  ev.journal_offset_at_fault = rig.journal().offset();
 
   if (w.kind == FaultKind::kShardCrash) {
     ev.kind = ShardFaultEvent::Kind::kInjectedCrash;
@@ -212,41 +194,29 @@ void fire_injection(ShardCtx& c, Testbed& bed, TraceJournalWriter& writer,
   throw InjectedStall(ev.what);
 }
 
-// Runs one attempt from rig.from to completion (or until a fault unwinds
-// it). Segment boundaries are the union of checkpoint boundaries, heartbeat
-// sub-steps and pending fault-injection times; boundaries never change
-// simulation results, only where this loop regains control.
-DurableRunResult run_attempt(ShardCtx& c, ShardRig& rig) {
-  Testbed& bed = *rig.bed;
-  TraceJournalWriter& writer = *rig.writer;
-  // Attach only now that the rig sits at its final address — the writer
-  // was moved out of prepare_rig, so any pointer taken there would dangle.
-  bed.crawler()->attach_journal(&writer);
-  const Seconds duration = c.config.duration;
-  const Seconds every = c.opt.checkpoint_every;
-
-  DurableRunResult result;
-  result.journal_path = writer.path();
-
-  Seconds t = rig.from;
-  while (t < duration) {
+// Runs one attempt from the rig's restore point to completion (or until a
+// fault unwinds it). The supervisor regains control at heartbeat sub-steps
+// and pending fault-injection times; the rig checkpoints on its own
+// schedule in between. Boundaries never change simulation results.
+ShardResult run_attempt(ShardCtx& c, DurableShard& rig) {
+  const Seconds duration = rig.duration();
+  while (rig.now() < duration) {
+    const Seconds t = rig.now();
     if (c.canceled()) throw WatchdogAbort("watchdog canceled shard");
     if (c.next_injection < c.injections.size() &&
         c.injections[c.next_injection].start <= t + 1e-9) {
-      fire_injection(c, bed, writer, c.injections[c.next_injection]);
+      fire_injection(c, rig, c.injections[c.next_injection]);
     }
 
     Seconds next = std::min(duration, t + c.heartbeat_every);
-    if (every > 0.0) {
-      next = std::min(next, every * (std::floor(t / every + 1e-9) + 1.0));
-    }
     if (c.next_injection < c.injections.size()) {
       const Seconds due = c.injections[c.next_injection].start;
       if (due > t && due < next) next = due;
     }
 
-    bed.run_until(next);
-    t = next;
+    const std::size_t saved = rig.checkpoints_written();
+    rig.advance(next);
+    c.health.checkpoints_written += rig.checkpoints_written() - saved;
     c.beat();
     if (c.pending_recovery_event) {
       // First completed segment after a restart: the shard is ticking again.
@@ -254,35 +224,9 @@ DurableRunResult run_attempt(ShardCtx& c, ShardRig& rig) {
       c.pending_recovery_event.reset();
     }
     if (c.opt.test_segment_delay_ms > 0.0) sleep_ms(c.opt.test_segment_delay_ms);
-
-    if (every > 0.0 && t < duration &&
-        std::abs(t / every - std::round(t / every)) < 1e-9) {
-      CheckpointState ck;
-      ck.archetype = c.config.archetype;
-      ck.duration = duration;
-      ck.seed = c.config.seed;
-      ck.fault_scenario = c.config.fault_scenario;
-      ck.fault_seed = c.config.fault_seed;
-      ck.out_path = c.out_path;
-      ck.checkpoint_every = every;
-      ck.time = t;
-      ck.journal_offset = writer.offset();
-      fill_checkpoint_witness(ck, bed);
-      save_checkpoint_rotating(ck, c.dir);
-      ++result.checkpoints_written;
-      ++c.health.checkpoints_written;
-    }
   }
-
-  result.trace = bed.crawler()->take_trace();
-  writer.append_end(bed.engine().now());
-  result.crawler_stats = bed.crawler()->stats();
-  result.world_stats = bed.world().stats();
-  result.server_stats = bed.server().stats();
-  result.network_stats = bed.network().stats();
-  if (bed.client() != nullptr) {
-    result.circuit_stats = bed.client()->total_circuit_stats();
-  }
+  ShardResult result = rig.finish();
+  result.checkpoints_written = c.health.checkpoints_written;
   return result;
 }
 
@@ -325,20 +269,9 @@ ShardResult supervise_shard(ShardCtx& c) {
     c.rt.cancel.store(false, std::memory_order_relaxed);
     c.set_phase(ShardPhase::kRunning);
     try {
-      ShardRig rig = prepare_rig(c);
-      DurableRunResult durable = run_attempt(c, rig);
+      const std::unique_ptr<DurableShard> rig = open_rig(c);
+      ShardResult result = run_attempt(c, *rig);
       c.set_phase(ShardPhase::kCompleted);
-      ShardResult result;
-      result.archetype = c.config.archetype;
-      result.seed = c.config.seed;
-      result.out_path = c.out_path;
-      result.trace = std::move(durable.trace);
-      result.crawler_stats = durable.crawler_stats;
-      result.world_stats = durable.world_stats;
-      result.server_stats = durable.server_stats;
-      result.network_stats = durable.network_stats;
-      result.circuit_stats = durable.circuit_stats;
-      result.checkpoints_written = c.health.checkpoints_written;
       return result;
     } catch (const InjectedCrash& e) {
       c.health.last_error = e.what();
@@ -424,6 +357,11 @@ SupervisedRun run_supervised(const std::vector<ExperimentConfig>& shards,
   }
   if (!options.out_paths.empty() && options.out_paths.size() != shards.size()) {
     throw std::invalid_argument("run_supervised: out_paths must match shard count");
+  }
+  for (const ExperimentConfig& config : shards) {
+    if (!config.testbed.with_crawler) {
+      throw std::logic_error("run_supervised: shard config has no crawler to journal");
+    }
   }
   std::filesystem::create_directories(options.checkpoint_dir);
 

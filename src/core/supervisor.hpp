@@ -98,8 +98,9 @@ struct SupervisorOptions {
   // Worker threads across shards, ThreadPool semantics (1 = serial,
   // 0 = SLMOB_THREADS / hardware default).
   std::size_t threads{0};
-  // Required: every shard runs journaled + checkpointed under
-  // <checkpoint_dir>/shard-NN-<land>/, rotating two checkpoint generations.
+  // Required: every shard runs as a DurableShard (core/checkpoint.hpp)
+  // under <checkpoint_dir>/shard-NN-<land>/, leaving the same journal and
+  // checkpoint bytes as a durable run_sharded of the same configs.
   std::string checkpoint_dir;
   Seconds checkpoint_every{300.0};
   // Optional, parallel to the shard configs (see ShardRunOptions).

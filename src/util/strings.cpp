@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 
 namespace slmob {
 
@@ -47,6 +48,15 @@ long long parse_non_negative_int(std::string_view text) {
   const auto* last = text.data() + text.size();
   auto [ptr, ec] = std::from_chars(first, last, value);
   if (ec != std::errc{} || ptr != last || value < 0) return -1;
+  return value;
+}
+
+std::optional<double> parse_finite_double(std::string_view text) {
+  text = trim(text);
+  double value = 0.0;
+  const auto* last = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), last, value);
+  if (ec != std::errc{} || ptr != last || !std::isfinite(value)) return std::nullopt;
   return value;
 }
 

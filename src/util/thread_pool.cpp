@@ -2,11 +2,18 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
+
+#include "util/strings.hpp"
 
 namespace slmob {
 
 ThreadPool::ThreadPool(std::size_t concurrency) {
+  if (concurrency > kMaxConcurrency) {
+    throw std::invalid_argument("ThreadPool: concurrency " + std::to_string(concurrency) +
+                                " exceeds the cap of " + std::to_string(kMaxConcurrency));
+  }
   if (concurrency == 0) concurrency = default_concurrency();
   workers_.reserve(concurrency - 1);
   for (std::size_t i = 0; i + 1 < concurrency; ++i) {
@@ -27,7 +34,7 @@ std::size_t ThreadPool::default_concurrency() {
   const unsigned hw_raw = std::thread::hardware_concurrency();
   const std::size_t hw = hw_raw > 0 ? static_cast<std::size_t>(hw_raw) : 1;
   if (const char* env = std::getenv("SLMOB_THREADS")) {
-    const long parsed = std::atol(env);
+    const long long parsed = parse_non_negative_int(env);
     // Clamp to the core count: oversubscribing the default pool only adds
     // context-switch overhead. An explicit ThreadPool(n) still honours n.
     if (parsed > 0) return std::min(static_cast<std::size_t>(parsed), hw);

@@ -35,8 +35,13 @@ namespace slmob {
 
 class ThreadPool {
  public:
+  // Upper bound on an explicit concurrency: far above any host this runs on,
+  // low enough that a typo cannot ask the OS for thousands of threads.
+  static constexpr std::size_t kMaxConcurrency = 256;
+
   // `concurrency` counts the caller: n means n-1 background workers. 0 means
-  // default_concurrency().
+  // default_concurrency(). Throws std::invalid_argument above
+  // kMaxConcurrency, before any worker starts.
   explicit ThreadPool(std::size_t concurrency = 0);
   ~ThreadPool();
 
@@ -48,8 +53,8 @@ class ThreadPool {
 
   // SLMOB_THREADS if set to a positive integer — clamped to
   // hardware_concurrency() so a stale env var cannot oversubscribe the
-  // machine — else hardware_concurrency() (>= 1). An explicit
-  // ThreadPool(n) is never clamped.
+  // machine — else hardware_concurrency() (>= 1). A malformed value such as
+  // "4x" is ignored. An explicit ThreadPool(n) is never clamped.
   static std::size_t default_concurrency();
 
   // Enqueues a task for a worker. With concurrency 1 (no workers) the task

@@ -188,7 +188,7 @@ TEST(Checkpoint, DurableRunMatchesPlainExperiment) {
   options.config = cfg;
   options.dir = fresh_dir("durable_vs_plain");
   options.checkpoint_every = 120.0;
-  const DurableRunResult durable = run_durable(options);
+  const ShardResult durable = run_durable(options);
   EXPECT_FALSE(durable.killed);
   EXPECT_GT(durable.checkpoints_written, 0u);
 
@@ -207,17 +207,17 @@ TEST(Checkpoint, KillAndResumeReproducesUnkilledTrace) {
   uninterrupted.config = cfg;
   uninterrupted.dir = fresh_dir("resume_baseline");
   uninterrupted.checkpoint_every = 120.0;
-  const DurableRunResult baseline = run_durable(uninterrupted);
+  const ShardResult baseline = run_durable(uninterrupted);
   ASSERT_FALSE(baseline.killed);
 
   DurableRunOptions killed = uninterrupted;
   killed.dir = fresh_dir("resume_killed");
   killed.kill_at = 437.0;  // mid-segment, mid-blackout-free stretch
-  const DurableRunResult dead = run_durable(killed);
+  const ShardResult dead = run_durable(killed);
   EXPECT_TRUE(dead.killed);
   EXPECT_TRUE(dead.trace.empty());
 
-  const DurableRunResult resumed = resume_durable(killed.dir);
+  const ShardResult resumed = resume_durable(killed.dir);
   EXPECT_FALSE(resumed.killed);
   EXPECT_EQ(encode_trace(resumed.trace), encode_trace(baseline.trace));
   EXPECT_EQ(resumed.crawler_stats.snapshots_taken, baseline.crawler_stats.snapshots_taken);
@@ -225,7 +225,7 @@ TEST(Checkpoint, KillAndResumeReproducesUnkilledTrace) {
   EXPECT_EQ(resumed.network_stats.sent, baseline.network_stats.sent);
 
   // The journal on disk also tells the whole story after the resume.
-  const JournalSalvage s = salvage_journal(resumed.journal_path);
+  const JournalSalvage s = salvage_journal(killed.dir + "/" + kJournalFileName);
   EXPECT_TRUE(s.clean_end);
   EXPECT_EQ(encode_trace(s.trace), encode_trace(baseline.trace));
 }
@@ -243,8 +243,8 @@ TEST(Checkpoint, ResumeIsDeterministicAcrossAttempts) {
   // clone the directory first) must produce byte-identical traces.
   const std::string copy = fresh_dir("resume_twice_b");
   std::filesystem::copy(options.dir, copy);
-  const DurableRunResult first = resume_durable(options.dir);
-  const DurableRunResult second = resume_durable(copy);
+  const ShardResult first = resume_durable(options.dir);
+  const ShardResult second = resume_durable(copy);
   EXPECT_EQ(encode_trace(first.trace), encode_trace(second.trace));
 }
 
@@ -259,15 +259,47 @@ TEST(Checkpoint, ResumeSurvivesRepeatedKills) {
   options.kill_at = 250.0;
   ASSERT_TRUE(run_durable(options).killed);
   ASSERT_TRUE(resume_durable(options.dir, 619.0).killed);
-  const DurableRunResult final_run = resume_durable(options.dir);
+  const ShardResult final_run = resume_durable(options.dir);
   ASSERT_FALSE(final_run.killed);
 
   DurableRunOptions uninterrupted;
   uninterrupted.config = cfg;
   uninterrupted.dir = fresh_dir("resume_repeated_baseline");
   uninterrupted.checkpoint_every = 120.0;
-  const DurableRunResult baseline = run_durable(uninterrupted);
+  const ShardResult baseline = run_durable(uninterrupted);
   EXPECT_EQ(encode_trace(final_run.trace), encode_trace(baseline.trace));
+}
+
+TEST(Checkpoint, ResumeFallsBackToPreviousGeneration) {
+  const ExperimentConfig cfg = short_config(71);
+  DurableRunOptions options;
+  options.config = cfg;
+  options.dir = fresh_dir("resume_fallback");
+  options.checkpoint_every = 120.0;
+  options.kill_at = 500.0;  // checkpoints at 120, 240, 360, 480
+  ASSERT_TRUE(run_durable(options).killed);
+
+  // Tear the newest generation as a crash mid-save on a non-atomic file
+  // system would: the resume must fall back to checkpoint.prev.slck (360 s)
+  // and still converge to the never-killed trace.
+  const std::string newest = options.dir + "/" + kCheckpointFileName;
+  std::filesystem::resize_file(newest, std::filesystem::file_size(newest) / 2);
+  const CheckpointLoadResult loaded = try_load_checkpoint(options.dir);
+  ASSERT_TRUE(loaded.state.has_value());
+  ASSERT_TRUE(loaded.used_fallback);
+  EXPECT_DOUBLE_EQ(loaded.state->time, 360.0);
+
+  const ShardResult resumed = resume_durable(options.dir);
+  ASSERT_FALSE(resumed.killed);
+
+  DurableRunOptions uninterrupted = options;
+  uninterrupted.dir = fresh_dir("resume_fallback_baseline");
+  uninterrupted.kill_at.reset();
+  const ShardResult baseline = run_durable(uninterrupted);
+  EXPECT_EQ(encode_trace(resumed.trace), encode_trace(baseline.trace));
+  const JournalSalvage s = salvage_journal(options.dir + "/" + kJournalFileName);
+  EXPECT_TRUE(s.clean_end);
+  EXPECT_EQ(encode_trace(s.trace), encode_trace(baseline.trace));
 }
 
 TEST(Checkpoint, ResumeRejectsWitnessMismatch) {
@@ -294,13 +326,13 @@ TEST(Checkpoint, KillBeforeFirstCheckpointLeavesSalvageableJournal) {
   options.dir = fresh_dir("killed_early");
   options.checkpoint_every = 600.0;
   options.kill_at = 90.0;
-  const DurableRunResult dead = run_durable(options);
+  const ShardResult dead = run_durable(options);
   EXPECT_TRUE(dead.killed);
   EXPECT_EQ(dead.checkpoints_written, 0u);
 
   // No checkpoint yet -> not resumable, but the journal already holds every
   // sampled snapshot and salvage censors the unrun remainder.
-  const JournalSalvage s = salvage_journal(dead.journal_path);
+  const JournalSalvage s = salvage_journal(options.dir + "/" + kJournalFileName);
   EXPECT_FALSE(s.clean_end);
   EXPECT_GT(s.snapshots, 0u);
   ASSERT_FALSE(s.trace.gaps().empty());

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 
 #include "trace/serialize.hpp"
 #include "util/bytes.hpp"
@@ -40,6 +42,12 @@ std::string fresh_dir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "/" + name;
   std::filesystem::remove_all(dir);
   return dir;
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
 // Fast-recovery knobs for tests: small checkpoint segments, an aggressive
@@ -239,8 +247,9 @@ TEST(Supervisor, BothCheckpointGenerationsCorruptColdRestartsAndCompletes) {
 
   SupervisorOptions opt = test_options(dir);
   opt.threads = 1;
-  // No real checkpoint ever lands (segments longer than the run), so the
-  // restart after the 450 s crash finds only the two pre-planted corpses:
+  // No real checkpoint lands before the end of the run (segments longer
+  // than the run), so the restart after the 450 s crash finds only the two
+  // pre-planted corpses:
   // the fallback chain exhausts both generations and the shard must cold-
   // restart from zero — and still reproduce the uninterrupted trace.
   opt.checkpoint_every = 1e9;
@@ -249,6 +258,43 @@ TEST(Supervisor, BothCheckpointGenerationsCorruptColdRestartsAndCompletes) {
   ASSERT_TRUE(run.all_completed());
   EXPECT_EQ(digests(run.shards), reference);
   EXPECT_GE(run.health[0].cold_restarts, 1u);
+}
+
+// The supervisor drives the same journaled-rig loop as a durable
+// run_sharded: a fault-free supervised run leaves byte-identical journals
+// and checkpoint generations in every shard directory, including the final
+// checkpoint at t = duration.
+TEST(Supervisor, DurableArtefactsMatchRunSharded) {
+  const auto shards = three_lands("none");
+  const std::vector<std::string> outs = {"a.slt", "b.slt", "c.slt"};
+
+  const std::string plain_dir = fresh_dir("supervisor-artefacts-plain");
+  ShardRunOptions plain;
+  plain.threads = 2;
+  plain.checkpoint_dir = plain_dir;
+  plain.checkpoint_every = 120.0;  // 900 s is not a multiple: the last one is at 900
+  plain.out_paths = outs;
+  const auto reference = run_sharded(shards, plain);
+
+  const std::string supervised_dir = fresh_dir("supervisor-artefacts-supervised");
+  SupervisorOptions opt = test_options(supervised_dir);
+  opt.threads = 2;
+  opt.checkpoint_every = plain.checkpoint_every;
+  opt.out_paths = outs;
+  const SupervisedRun run = run_supervised(shards, opt);
+  ASSERT_TRUE(run.all_completed());
+  EXPECT_EQ(digests(run.shards), digests(reference));
+
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    const std::string name = shard_dir_name(i, shards[i].archetype);
+    for (const char* file : {kJournalFileName, kCheckpointFileName, kCheckpointPrevFileName}) {
+      EXPECT_EQ(file_bytes(supervised_dir + "/" + name + "/" + file),
+                file_bytes(plain_dir + "/" + name + "/" + file))
+          << name << "/" << file;
+    }
+    EXPECT_EQ(run.health[i].checkpoints_written, reference[i].checkpoints_written);
+    EXPECT_DOUBLE_EQ(load_checkpoint(supervised_dir + "/" + name).time, 900.0);
+  }
 }
 
 TEST(Supervisor, RequiresCheckpointDir) {

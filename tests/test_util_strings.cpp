@@ -54,6 +54,22 @@ TEST(Strings, ParseNonNegativeInt) {
   EXPECT_EQ(parse_non_negative_int(""), -1);
 }
 
+TEST(Strings, ParseFiniteDouble) {
+  EXPECT_EQ(parse_finite_double("10"), 10.0);
+  EXPECT_EQ(parse_finite_double(" 0.5 "), 0.5);
+  EXPECT_EQ(parse_finite_double("-2.5"), -2.5);
+  EXPECT_EQ(parse_finite_double("1e3"), 1000.0);
+  EXPECT_EQ(parse_finite_double("0"), 0.0);
+  EXPECT_EQ(parse_finite_double("abc"), std::nullopt);
+  EXPECT_EQ(parse_finite_double("10x"), std::nullopt);
+  EXPECT_EQ(parse_finite_double("x10"), std::nullopt);
+  EXPECT_EQ(parse_finite_double("1.5.2"), std::nullopt);
+  EXPECT_EQ(parse_finite_double(""), std::nullopt);
+  EXPECT_EQ(parse_finite_double("inf"), std::nullopt);
+  EXPECT_EQ(parse_finite_double("nan"), std::nullopt);
+  EXPECT_EQ(parse_finite_double("1e999"), std::nullopt);
+}
+
 TEST(Csv, WriterProducesRows) {
   std::ostringstream os;
   CsvWriter w(os);

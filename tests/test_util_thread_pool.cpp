@@ -36,6 +36,9 @@ TEST(ThreadPool, DefaultConcurrencyClampsEnvToCoreCount) {
   EXPECT_EQ(ThreadPool::default_concurrency(), hw);
   ASSERT_EQ(setenv("SLMOB_THREADS", "1", 1), 0);
   EXPECT_EQ(ThreadPool::default_concurrency(), 1u);
+  // Malformed values are ignored rather than read up to the first non-digit.
+  ASSERT_EQ(setenv("SLMOB_THREADS", "1x", 1), 0);
+  EXPECT_EQ(ThreadPool::default_concurrency(), hw);
 
   if (saved != nullptr) {
     setenv("SLMOB_THREADS", restore.c_str(), 1);
@@ -48,6 +51,10 @@ TEST(ThreadPool, ExplicitConcurrencyIsNeverClamped) {
   // Tests and benches rely on real 2/4-thread pools even on 1-core hosts.
   const ThreadPool pool(4);
   EXPECT_EQ(pool.concurrency(), 4u);
+}
+
+TEST(ThreadPool, ConcurrencyAboveCapThrowsBeforeSpawning) {
+  EXPECT_THROW(ThreadPool(ThreadPool::kMaxConcurrency + 1), std::invalid_argument);
 }
 
 TEST(ThreadPool, ParallelMapPreservesIndexOrder) {

@@ -45,7 +45,7 @@ int usage() {
                "            [--faults none|blackouts|burst-loss|region-flaps|\n"
                "                      collector-crash|overload|chaos|shard-chaos]\n"
                "            [--fault-seed S]\n"
-               "            [--journal J.sltj | --checkpoint DIR [--checkpoint-every SEC]]\n"
+               "            [--checkpoint DIR [--checkpoint-every SEC]]\n"
                "            [--supervise [--max-restarts N] [--watchdog-timeout SEC]]\n"
                "            [--stats-csv F.csv] --out T.slt\n"
                "    (multi-land runs shard across threads; shard i uses seed S+i and\n"
@@ -58,6 +58,7 @@ int usage() {
                "              [--jobs J]\n"
                "  slmob convert <in.(slt|csv)> <out.(csv|slt)>\n"
                "  slmob dtn <trace.slt> [--scheme epidemic|two-hop|direct] [--messages N]\n"
+               "            [--range R] [--seed S]\n"
                "  slmob report <trace.slt> <report.md> [--series]\n");
   return 2;
 }
@@ -70,6 +71,24 @@ bool parse_count(const std::string& text, T& out) {
   const long long value = parse_non_negative_int(text);
   if (value < 0) return false;
   out = static_cast<T>(value);
+  return true;
+}
+
+// Thread-count flags (--jobs, --threads): a count up to
+// ThreadPool::kMaxConcurrency, 0 meaning the default.
+bool parse_threads(const std::string& text, std::size_t& out) {
+  std::size_t value = 0;
+  if (!parse_count(text, value) || value > ThreadPool::kMaxConcurrency) return false;
+  out = value;
+  return true;
+}
+
+// Parses a finite, non-negative real flag value (hours, seconds, metres)
+// into `out`; false on malformed input such as "abc", "10x" or "-1".
+bool parse_real(const std::string& text, double& out) {
+  const std::optional<double> value = parse_finite_double(text);
+  if (!value || *value < 0.0) return false;
+  out = *value;
   return true;
 }
 
@@ -221,6 +240,30 @@ void print_overload_recap(const SimServerStats& server, const NetworkStats& net,
               static_cast<unsigned long long>(circuit.deferred_sends));
 }
 
+// Per-shard recap of a supervised run: lifecycle, contained faults and the
+// crawler client's transport counters.
+void print_health(std::size_t index, const ShardResult& res, const ShardHealth& h) {
+  std::printf("shard %zu %s (seed %llu): %s | crashes %llu, stalls %llu, "
+              "watchdog aborts %llu, restarts %llu (%llu cold), %zu checkpoints\n",
+              index, archetype_name(res.archetype).c_str(),
+              static_cast<unsigned long long>(res.seed), shard_phase_name(h.phase),
+              static_cast<unsigned long long>(h.crashes),
+              static_cast<unsigned long long>(h.stalls),
+              static_cast<unsigned long long>(h.watchdog_aborts),
+              static_cast<unsigned long long>(h.restarts),
+              static_cast<unsigned long long>(h.cold_restarts), h.checkpoints_written);
+  if (!h.last_error.empty()) {
+    std::printf("  last error: %s\n", h.last_error.c_str());
+  }
+  const CircuitStats& c = res.circuit_stats;
+  std::printf("  transport: %llu packets, %llu retransmits (%llu RTO backoffs), "
+              "%llu datagrams fault-dropped\n",
+              static_cast<unsigned long long>(c.packets_sent),
+              static_cast<unsigned long long>(c.retransmits),
+              static_cast<unsigned long long>(c.rto_backoffs),
+              static_cast<unsigned long long>(res.network_stats.fault_dropped));
+}
+
 int cmd_run(const std::vector<std::string>& args) {
   std::vector<LandArchetype> lands;
   double hours = 24.0;
@@ -228,7 +271,6 @@ int cmd_run(const std::vector<std::string>& args) {
   std::uint64_t fault_seed = 0;
   std::string faults = "none";
   std::string out;
-  std::string journal;
   std::string checkpoint_dir;
   std::string resume_dir;
   std::string stats_csv;
@@ -243,9 +285,9 @@ int cmd_run(const std::vector<std::string>& args) {
       if (!parsed) return usage();
       lands = *parsed;
     } else if (args[i] == "--jobs" && i + 1 < args.size()) {
-      if (!parse_count(args[++i], jobs)) return usage();
+      if (!parse_threads(args[++i], jobs)) return usage();
     } else if (args[i] == "--hours" && i + 1 < args.size()) {
-      hours = std::atof(args[++i].c_str());
+      if (!parse_real(args[++i], hours)) return usage();
     } else if (args[i] == "--seed" && i + 1 < args.size()) {
       if (!parse_count(args[++i], seed)) return usage();
     } else if (args[i] == "--faults" && i + 1 < args.size()) {
@@ -254,12 +296,10 @@ int cmd_run(const std::vector<std::string>& args) {
       if (!parse_count(args[++i], fault_seed)) return usage();
     } else if (args[i] == "--out" && i + 1 < args.size()) {
       out = args[++i];
-    } else if (args[i] == "--journal" && i + 1 < args.size()) {
-      journal = args[++i];
     } else if (args[i] == "--checkpoint" && i + 1 < args.size()) {
       checkpoint_dir = args[++i];
     } else if (args[i] == "--checkpoint-every" && i + 1 < args.size()) {
-      checkpoint_every = std::atof(args[++i].c_str());
+      if (!parse_real(args[++i], checkpoint_every)) return usage();
     } else if (args[i] == "--resume" && i + 1 < args.size()) {
       resume_dir = args[++i];
     } else if (args[i] == "--supervise") {
@@ -267,7 +307,7 @@ int cmd_run(const std::vector<std::string>& args) {
     } else if (args[i] == "--max-restarts" && i + 1 < args.size()) {
       if (!parse_count(args[++i], max_restarts)) return usage();
     } else if (args[i] == "--watchdog-timeout" && i + 1 < args.size()) {
-      watchdog_timeout = std::atof(args[++i].c_str());
+      if (!parse_real(args[++i], watchdog_timeout)) return usage();
     } else if (args[i] == "--stats-csv" && i + 1 < args.size()) {
       stats_csv = args[++i];
     } else {
@@ -296,11 +336,9 @@ int cmd_run(const std::vector<std::string>& args) {
   }
 
   if (lands.empty() || out.empty() || hours <= 0.0) return usage();
-  if (!journal.empty() && !checkpoint_dir.empty()) return usage();
   if (!checkpoint_dir.empty() && checkpoint_every <= 0.0) return usage();
-  if (!stats_csv.empty() && !supervise && lands.size() == 1) {
-    std::fprintf(stderr,
-                 "error: --stats-csv needs a sharded (multi-land) or --supervise run\n");
+  if (supervise && checkpoint_dir.empty()) {
+    std::fprintf(stderr, "error: --supervise requires --checkpoint DIR\n");
     return 2;
   }
   if (!stats_csv.empty() && !probe_writable(stats_csv)) {
@@ -311,175 +349,10 @@ int cmd_run(const std::vector<std::string>& args) {
     return 2;
   }
 
-  if (supervise) {
-    // Self-healing run: every shard executes behind the supervisor's crash
-    // barrier, journaled + checkpointed, restarted from its last checkpoint
-    // after a contained crash or watchdog-detected stall. Traces stay
-    // bit-identical to an uninterrupted run.
-    if (checkpoint_dir.empty()) {
-      std::fprintf(stderr, "error: --supervise requires --checkpoint DIR\n");
-      return 2;
-    }
-    if (!journal.empty()) {
-      std::fprintf(stderr,
-                   "error: --supervise runs are checkpointed; drop --journal\n");
-      return 2;
-    }
-    std::vector<ExperimentConfig> shards;
-    std::vector<std::string> outs;
-    for (std::size_t i = 0; i < lands.size(); ++i) {
-      ExperimentConfig cfg;
-      cfg.archetype = lands[i];
-      cfg.duration = hours * kSecondsPerHour;
-      cfg.seed = seed + i;
-      cfg.fault_scenario = faults;
-      cfg.fault_seed = fault_seed;
-      cfg.ranges = {};  // collection only
-      shards.push_back(cfg);
-      outs.push_back(expand_out_path(out, lands[i], cfg.seed));
-    }
-    for (std::size_t i = 0; i < outs.size(); ++i) {
-      for (std::size_t j = i + 1; j < outs.size(); ++j) {
-        if (outs[i] == outs[j]) {
-          std::fprintf(stderr,
-                       "error: --out %s maps shards %zu and %zu to the same file; "
-                       "add {land} and/or {seed}\n",
-                       out.c_str(), i, j);
-          return 2;
-        }
-      }
-    }
-
-    SupervisorOptions options;
-    options.threads = jobs;
-    options.checkpoint_dir = checkpoint_dir;
-    options.checkpoint_every = checkpoint_every;
-    options.out_paths = outs;
-    options.max_restarts = max_restarts;
-    options.watchdog_timeout_ms = watchdog_timeout * 1000.0;
-    const std::size_t threads = jobs == 0 ? ThreadPool::default_concurrency() : jobs;
-    std::printf("supervising %zu shard(s) for %.1f h (seeds %llu..%llu, faults %s, "
-                "%zu threads, retry budget %llu, watchdog %.1f s)...\n",
-                lands.size(), hours, static_cast<unsigned long long>(seed),
-                static_cast<unsigned long long>(seed + lands.size() - 1), faults.c_str(),
-                threads, static_cast<unsigned long long>(max_restarts),
-                watchdog_timeout);
-    SupervisedRun run = run_supervised(shards, options);
-
-    int rc = 0;
-    // CSV before the recap loop: finish_run moves each trace out, and the
-    // CSV reads trace-derived columns (degraded seconds) too.
-    if (!stats_csv.empty()) {
-      write_shard_stats_csv(run.shards, stats_csv);
-      std::printf("wrote %s\n", stats_csv.c_str());
-    }
-    for (std::size_t i = 0; i < run.shards.size(); ++i) {
-      auto& res = run.shards[i];
-      const ShardHealth& h = run.health[i];
-      std::printf("shard %zu %s (seed %llu): %s | crashes %llu, stalls %llu, "
-                  "watchdog aborts %llu, restarts %llu (%llu cold), %zu checkpoints\n",
-                  i, archetype_name(res.archetype).c_str(),
-                  static_cast<unsigned long long>(res.seed), shard_phase_name(h.phase),
-                  static_cast<unsigned long long>(h.crashes),
-                  static_cast<unsigned long long>(h.stalls),
-                  static_cast<unsigned long long>(h.watchdog_aborts),
-                  static_cast<unsigned long long>(h.restarts),
-                  static_cast<unsigned long long>(h.cold_restarts),
-                  h.checkpoints_written);
-      if (!h.last_error.empty()) {
-        std::printf("  last error: %s\n", h.last_error.c_str());
-      }
-      const CircuitStats& c = res.circuit_stats;
-      std::printf("  transport: %llu packets, %llu retransmits (%llu RTO backoffs), "
-                  "%llu datagrams fault-dropped\n",
-                  static_cast<unsigned long long>(c.packets_sent),
-                  static_cast<unsigned long long>(c.retransmits),
-                  static_cast<unsigned long long>(c.rto_backoffs),
-                  static_cast<unsigned long long>(res.network_stats.fault_dropped));
-      print_overload_recap(res.server_stats, res.network_stats, res.circuit_stats);
-      rc |= finish_run(std::move(res.trace), res.crawler_stats, outs[i]);
-    }
-    if (run.any_failed_partial()) {
-      std::fprintf(stderr,
-                   "warning: at least one shard exhausted its retry budget and "
-                   "degraded to failed-partial (salvaged trace is gap-censored)\n");
-      return 1;
-    }
-    return rc;
-  }
-
-  if (lands.size() == 1) {
-    const LandArchetype land = lands.front();
-    ExperimentConfig cfg;
-    cfg.archetype = land;
-    cfg.duration = hours * kSecondsPerHour;
-    cfg.seed = seed;
-    cfg.fault_scenario = faults;
-    cfg.fault_seed = fault_seed;
-    cfg.ranges = {};  // collection only
-    std::printf("crawling %s for %.1f h (seed %llu, faults %s)...\n",
-                archetype_name(land).c_str(), hours,
-                static_cast<unsigned long long>(seed), faults.c_str());
-
-    if (!checkpoint_dir.empty()) {
-      DurableRunOptions options;
-      options.config = cfg;
-      options.dir = checkpoint_dir;
-      options.checkpoint_every = checkpoint_every;
-      options.out_path = out;
-      DurableRunResult res = run_durable(options);
-      std::printf("journaled to %s (%zu checkpoints)\n", res.journal_path.c_str(),
-                  res.checkpoints_written);
-      return finish_run(std::move(res.trace), res.crawler_stats, out);
-    }
-
-    if (!journal.empty()) {
-      // Journal-only durable run: salvageable after a crash, not resumable.
-      Testbed bed(make_testbed_config(cfg));
-      if (bed.crawler() == nullptr) {
-        std::fprintf(stderr, "error: journaled run requires a crawler\n");
-        return 1;
-      }
-      TraceJournalWriter writer(journal, cfg.duration);
-      bed.crawler()->attach_journal(&writer);
-      bed.run_until(cfg.duration);
-      Trace trace = bed.crawler()->take_trace();
-      writer.append_end(bed.engine().now());
-      std::printf("journaled to %s\n", journal.c_str());
-      return finish_run(std::move(trace), bed.crawler()->stats(), out);
-    }
-
-    const ExperimentResults res = run_experiment(cfg);
-    save_trace(res.trace, out);
-    std::printf("wrote %s: %zu snapshots, %zu unique users, avg conc %.1f\n", out.c_str(),
-                res.summary.snapshot_count, res.summary.unique_users,
-                res.summary.avg_concurrent);
-    if (res.summary.gap_count > 0) {
-      std::printf(
-          "coverage: %zu gaps, %.0f s uncovered (%zu relogins, %zu crawler backoff resets)\n",
-          res.summary.gap_count, res.summary.gap_seconds,
-          static_cast<std::size_t>(res.crawler_stats.relogins),
-          static_cast<std::size_t>(res.crawler_stats.backoff_resets));
-    }
-    if (res.summary.degradation_count > 0) {
-      std::printf("degradation: %zu windows, %.0f s at reduced sampling rate "
-                  "(%zu escalations, %zu recoveries)\n",
-                  res.summary.degradation_count, res.summary.degraded_seconds,
-                  static_cast<std::size_t>(res.crawler_stats.degrade_escalations),
-                  static_cast<std::size_t>(res.crawler_stats.degrade_recoveries));
-    }
-    print_overload_recap(res.server_stats, res.network_stats, res.circuit_stats);
-    return 0;
-  }
-
-  // Multi-land sharded run: shard i crawls lands[i] with seed base+i; all
+  // Every run is sharded: shard i crawls lands[i] with seed base+i; all
   // shards execute concurrently on one pool and every trace is bit-identical
-  // to running that land alone.
-  if (!journal.empty()) {
-    std::fprintf(stderr,
-                 "error: --journal is single-land; use --checkpoint for sharded runs\n");
-    return 2;
-  }
+  // to running that land alone. With --checkpoint each shard journals and
+  // checkpoints under DIR/shard-NN-<land>/.
   std::vector<ExperimentConfig> shards;
   std::vector<std::string> outs;
   for (std::size_t i = 0; i < lands.size(); ++i) {
@@ -504,18 +377,48 @@ int cmd_run(const std::vector<std::string>& args) {
       }
     }
   }
-
-  ShardRunOptions options;
-  options.threads = jobs;
-  options.checkpoint_dir = checkpoint_dir;
-  options.checkpoint_every = checkpoint_every;
-  options.out_paths = outs;
   const std::size_t threads = jobs == 0 ? ThreadPool::default_concurrency() : jobs;
-  std::printf("crawling %zu lands for %.1f h (seeds %llu..%llu, faults %s, %zu threads)...\n",
-              lands.size(), hours, static_cast<unsigned long long>(seed),
-              static_cast<unsigned long long>(seed + lands.size() - 1), faults.c_str(),
-              threads);
-  auto results = run_sharded(shards, options);
+
+  std::vector<ShardResult> results;
+  std::vector<ShardHealth> health;
+  bool failed_partial = false;
+  if (supervise) {
+    // Self-healing run: every shard executes behind the supervisor's crash
+    // barrier and restarts from its last checkpoint after a contained crash
+    // or watchdog-detected stall. Traces stay bit-identical to an
+    // uninterrupted run.
+    SupervisorOptions options;
+    options.threads = jobs;
+    options.checkpoint_dir = checkpoint_dir;
+    options.checkpoint_every = checkpoint_every;
+    options.out_paths = outs;
+    options.max_restarts = max_restarts;
+    options.watchdog_timeout_ms = watchdog_timeout * 1000.0;
+    std::printf("supervising %zu shard(s) for %.1f h (seeds %llu..%llu, faults %s, "
+                "%zu threads, retry budget %llu, watchdog %.1f s)...\n",
+                lands.size(), hours, static_cast<unsigned long long>(seed),
+                static_cast<unsigned long long>(seed + lands.size() - 1), faults.c_str(),
+                threads, static_cast<unsigned long long>(max_restarts),
+                watchdog_timeout);
+    SupervisedRun run = run_supervised(shards, options);
+    failed_partial = run.any_failed_partial();
+    results = std::move(run.shards);
+    health = std::move(run.health);
+  } else {
+    ShardRunOptions options;
+    options.threads = jobs;
+    options.checkpoint_dir = checkpoint_dir;
+    options.checkpoint_every = checkpoint_every;
+    options.out_paths = outs;
+    std::printf("crawling %zu land%s for %.1f h (seeds %llu..%llu, faults %s, "
+                "%zu threads)...\n",
+                lands.size(), lands.size() == 1 ? "" : "s", hours,
+                static_cast<unsigned long long>(seed),
+                static_cast<unsigned long long>(seed + lands.size() - 1), faults.c_str(),
+                threads);
+    results = run_sharded(shards, options);
+  }
+
   int rc = 0;
   // CSV first: finish_run moves each trace out, and the CSV reads
   // trace-derived columns (degraded seconds) alongside the counters.
@@ -525,14 +428,24 @@ int cmd_run(const std::vector<std::string>& args) {
   }
   for (std::size_t i = 0; i < results.size(); ++i) {
     auto& res = results[i];
-    std::printf("%s (seed %llu)", archetype_name(res.archetype).c_str(),
-                static_cast<unsigned long long>(res.seed));
-    if (!checkpoint_dir.empty()) {
-      std::printf(" [%zu checkpoints]", res.checkpoints_written);
+    if (supervise) {
+      print_health(i, res, health[i]);
+    } else {
+      std::printf("%s (seed %llu)", archetype_name(res.archetype).c_str(),
+                  static_cast<unsigned long long>(res.seed));
+      if (!checkpoint_dir.empty()) {
+        std::printf(" [%zu checkpoints]", res.checkpoints_written);
+      }
+      std::printf(": ");
     }
-    std::printf(": ");
     rc |= finish_run(std::move(res.trace), res.crawler_stats, outs[i]);
     print_overload_recap(res.server_stats, res.network_stats, res.circuit_stats);
+  }
+  if (failed_partial) {
+    std::fprintf(stderr,
+                 "warning: at least one shard exhausted its retry budget and "
+                 "degraded to failed-partial (salvaged trace is gap-censored)\n");
+    return 1;
   }
   return rc;
 }
@@ -687,10 +600,12 @@ int cmd_analyze(const std::vector<std::string>& args) {
   options.ranges.clear();
   for (std::size_t i = 1; i < args.size(); ++i) {
     if (args[i] == "--range" && i + 1 < args.size()) {
-      options.ranges.push_back(std::atof(args[++i].c_str()));
+      double range = 0.0;
+      if (!parse_real(args[++i], range)) return usage();
+      options.ranges.push_back(range);
     } else if (args[i] == "--threads" && i + 1 < args.size()) {
       // 0 = SLMOB_THREADS env / hardware_concurrency
-      if (!parse_count(args[++i], options.threads)) return usage();
+      if (!parse_threads(args[++i], options.threads)) return usage();
     } else {
       return usage();
     }
@@ -743,9 +658,9 @@ int cmd_sweep(const std::vector<std::string>& args) {
     } else if (args[i] == "--seed-base" && i + 1 < args.size()) {
       if (!parse_count(args[++i], seed_base)) return usage();
     } else if (args[i] == "--hours" && i + 1 < args.size()) {
-      hours = std::atof(args[++i].c_str());
+      if (!parse_real(args[++i], hours)) return usage();
     } else if (args[i] == "--jobs" && i + 1 < args.size()) {
-      if (!parse_count(args[++i], jobs)) return usage();
+      if (!parse_threads(args[++i], jobs)) return usage();
     } else {
       return usage();
     }
@@ -819,7 +734,6 @@ int cmd_report(const std::vector<std::string>& args) {
 int cmd_dtn(const std::vector<std::string>& args) {
   if (args.empty()) return usage();
   DtnConfig cfg;
-  Trace trace = read_any(args[0]);
   for (std::size_t i = 1; i < args.size(); ++i) {
     if (args[i] == "--scheme" && i + 1 < args.size()) {
       const std::string s = args[++i];
@@ -835,14 +749,14 @@ int cmd_dtn(const std::vector<std::string>& args) {
     } else if (args[i] == "--messages" && i + 1 < args.size()) {
       if (!parse_count(args[++i], cfg.message_count)) return usage();
     } else if (args[i] == "--range" && i + 1 < args.size()) {
-      cfg.range = std::atof(args[++i].c_str());
+      if (!parse_real(args[++i], cfg.range)) return usage();
     } else if (args[i] == "--seed" && i + 1 < args.size()) {
       if (!parse_count(args[++i], cfg.seed)) return usage();
     } else {
       return usage();
     }
   }
-  const DtnResults res = simulate_dtn(trace, cfg);
+  const DtnResults res = simulate_dtn(read_any(args[0]), cfg);
   std::printf("%s @ r=%.0fm: delivery %.1f%% (%zu/%zu), delay med %.0fs p90 %.0fs, "
               "%.1f copies/message\n",
               routing_scheme_name(cfg.scheme), cfg.range, res.delivery_ratio * 100.0,
